@@ -7,8 +7,9 @@ Builds nothing: it imports twinsync from src/ next to this directory and the
 bundled scenes from scenes/, and exits 1 without a result when either is
 missing. A run repeats whole rounds of its workload's operations until
 --seconds have passed, checks the first round's outputs against the oracles
-in oracles.py, checks that every later round reproduced them exactly, and
-prints one JSON object as its last line of standard output.
+in oracles.py, checks that every later round reproduced them exactly,
+compares digests of them with reference.json when it holds the run's seed,
+and prints one JSON object as its last line of standard output.
 
 --trace 0 reports the end-to-end metrics: setup_s, steps_per_s and
 peak_rss_mb. --trace 1 alternates untraced and traced units (the workload's
@@ -30,6 +31,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -52,10 +54,11 @@ ROOT = BENCH.parent
 SRC = ROOT / "src"
 SCENES = ROOT / "scenes"
 OUT = BENCH / "out"
+REFERENCE = BENCH / "reference.json"  # written by reference.py
 
 STEPS = 1000  # the acceptance suite's run length
 THETA = 2.0  # knowledge threshold of the paired runs
-SETUP_SAMPLES = 7  # fresh-process set-ups per run; setup_s is their median
+SETUP_SAMPLES = 15  # fresh-process set-ups per run; setup_s is their median
 
 # Threshold rungs: from each checker's acceptance-suite ladder its lowest rung
 # (a resync on every drift), one middle rung, and inf (no resync). Scene1's
@@ -158,6 +161,12 @@ class PairsAllScenes:
                 and a.metric_values == b.metric_values and a.updated == b.updated
                 and a.memory_cost == b.memory_cost)
 
+    @staticmethod
+    def fingerprint(trace):
+        return json.dumps([[float(u) for u in trace.u_physical],
+                           [float(u) for u in trace.u_twin],
+                           [bool(f) for f in trace.updated]]).encode()
+
     def check(self, outputs):
         errors = []
         for name, trace in outputs.items():
@@ -228,6 +237,7 @@ class SweepScene1:
         return sweeps + [Op("pareto", 0, 1, self.pareto)]
 
     same = staticmethod(lambda a, b: a == b)
+    fingerprint = staticmethod(lambda csv_bytes: csv_bytes)
 
     def check(self, outputs):
         errors = []
@@ -320,6 +330,13 @@ class StudyScene6:
     same = staticmethod(lambda a, b: a.deviations == b.deviations
                         and a.start_times == b.start_times)
 
+    @staticmethod
+    def fingerprint(result):
+        return json.dumps({"start_times": [int(t) for t in result.start_times],
+                           "deviations": {k: [float(d) for d in v]
+                                          for k, v in result.deviations.items()}},
+                          sort_keys=True).encode()
+
     def check(self, outputs):
         errors = []
         result = outputs["study"]
@@ -346,6 +363,27 @@ class StudyScene6:
 
 
 WORKLOADS = {w.name: w for w in (PairsAllScenes, SweepScene1, StudyScene6)}
+
+
+def digests(workload, outputs) -> dict[str, str]:
+    return {name: hashlib.sha256(workload.fingerprint(out)).hexdigest()
+            for name, out in sorted(outputs.items())}
+
+
+def check_reference(workload, seed, outputs) -> list[str]:
+    """Compare the outputs with the digests stored for this seed, if any.
+
+    The oracles check the outputs against each other; the digests catch a
+    change that keeps them consistent but changes the results, such as a
+    different order of random draws.
+    """
+    stored = json.loads(REFERENCE.read_text()).get(workload.name, {}).get(str(seed))
+    if stored is None:
+        return []
+    found = digests(workload, outputs)
+    return [f"{name}: output differs from the reference for seed {seed}"
+            for name in sorted(stored.keys() | found.keys())
+            if stored.get(name) != found.get(name)]
 
 
 # ============================================================
@@ -395,8 +433,8 @@ class Counter:
         self.failures: list[str] = []
         self.errors: list[str] = []
 
-    def run(self, op: Op) -> float:
-        """Run one operation; return its wall time."""
+    def run(self, op: Op) -> float | None:
+        """Run one operation; return its wall time, or None if it failed."""
         self.attempted += op.attempted
         start = time.perf_counter()
         try:
@@ -404,7 +442,7 @@ class Counter:
         except Exception as exc:  # a failed operation is counted, not fatal
             self.failed += op.attempted
             self.failures.append(f"{op.name}: {exc!r}")
-            return time.perf_counter() - start
+            return None
         elapsed = time.perf_counter() - start
         if op.name not in self.first:
             self.first[op.name] = out
@@ -426,14 +464,22 @@ def run_end_to_end(ts, cls, seed, seconds, workdir):
     start = time.perf_counter()
     while True:
         for op in ops:
-            times[op.name].append(counter.run(op))
+            elapsed = counter.run(op)
+            if elapsed is not None:
+                times[op.name].append(elapsed)
         if time.perf_counter() - start >= seconds:
             break
     rss = peak_rss_mb()
-    typical_round = sum(statistics.median(times[op.name]) for op in ops)
+    # Failed operations' times are left out, and so are the steps of an
+    # operation that never succeeded: with failed > 0 a run measured less
+    # work than its workload, and its steps_per_s does not compare.
+    done = [op for op in ops if times[op.name]]
+    if not done:
+        fail("every operation failed")
+    typical_round = sum(statistics.median(times[op.name]) for op in done)
     metrics = {
         "setup_s": (setup_s, "s"),
-        "steps_per_s": (sum(op.steps for op in ops) / typical_round, "steps/s"),
+        "steps_per_s": (sum(op.steps for op in done) / typical_round, "steps/s"),
         "peak_rss_mb": (rss, "MB"),
     }
     return workload, counter, metrics
@@ -528,6 +574,7 @@ def main(argv=None) -> int:
             errors.append(f"no output to check from {', '.join(missing)}")
         else:
             errors += workload.check(counter.first)
+            errors += check_reference(workload, args.seed, counter.first)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 

@@ -1,20 +1,21 @@
 #!/usr/bin/env python3
 """Run two sets of benchmark runs of the same code and compare them.
 
-    python3 bench/steadiness.py --runs 10
+    python3 bench/steadiness.py
 
-Runs the command in BENCHMARK.json from the repository root, --runs times per
+Runs the command in BENCHMARK.json from the repository root, ten times per
 set and workload, each run with its own seed (set A: 100, 101, ...; set B:
 200, 201, ...). Workloads are interleaved and the two sets alternate which
 runs first, so a slow spell on the host lands on both sets. For each
 workload and end-to-end metric it prints each set's median and quartiles,
 the spread (quartile distance over median) and the gap between the set
-medians in the metric's worse direction, against the metric's bound.
+medians in the metric's worse direction, against the metric's bound. The
+sets are steady when every spread and the size of every gap, in either
+direction, are within the bound.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import statistics
 import subprocess
@@ -23,6 +24,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = {"A": 100, "B": 200}
+RUNS = 10  # per set and workload
 
 
 def run_once(spec, workload, seed, seconds):
@@ -38,17 +40,10 @@ def run_once(spec, workload, seed, seconds):
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--runs", type=int, default=10, help="runs per set and workload")
-    parser.add_argument("--workloads", default="", help="comma-separated subset")
-    args = parser.parse_args()
-
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     names = [w["name"] for w in spec["workloads"]]
-    if args.workloads:
-        names = [n for n in args.workloads.split(",") if n]
     results = {(n, s): [] for n in names for s in SEEDS}
-    for i in range(args.runs):
+    for i in range(RUNS):
         for name in names:
             for s in (("A", "B") if i % 2 == 0 else ("B", "A")):
                 r = run_once(spec, name, SEEDS[s] + i, spec["run_seconds"])
@@ -78,9 +73,8 @@ def main() -> int:
                     gap = (medians["B"] - medians["A"]) / medians["A"]
                     gap = gap if metric["better"] == "lower" else -gap
                     worse = f"{gap:+.4f}"
-                    ok &= gap <= bound
-                if key != "setup_s":
-                    ok &= spread <= bound
+                    ok &= abs(gap) <= bound
+                ok &= spread <= bound
                 print(f"{name:18} {key:12} {s:3} {med:11.5g} {q1:11.5g} {q3:11.5g}"
                       f" {spread:7.4f} {worse:>8} {bound:6.3f}")
     print("\nsteady within bounds" if ok else "\nNOT steady within bounds")
