@@ -32,8 +32,7 @@ def main() -> int:
             run.OUT.mkdir(exist_ok=True)
             workdir = Path(tempfile.mkdtemp(prefix=f"{name}-", dir=run.OUT))
             try:
-                workload = cls(ts, seed, run.load_scenes(ts, cls.scene_names), workdir,
-                               traced=False)
+                workload = cls(ts, seed, run.load_scenes(ts, cls.scene_names), workdir)
                 outputs = {op.name: op.run() for op in workload.ops()}
                 errors = workload.check(outputs)
             finally:

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """twinsync benchmark: paired runs, a threshold sweep and a strategy study.
 
-    python3 bench/run.py --workload pairs-all-scenes --seed 100 --seconds 25 --trace 0
+    python3 bench/run.py --workload pairs-all-scenes --seed 100 --seconds 30 --trace 0
 
 Builds nothing: it imports twinsync from src/ next to this directory and the
 bundled scenes from scenes/, and exits 1 without a result when either is
@@ -23,8 +23,8 @@ import os
 import sys
 
 # Pinned before numpy is first imported: BLAS threads would otherwise add to
-# the sweep's worker processes beyond the host's cores, and TWINSYNC_JOBS
-# would override the sweep's --jobs.
+# the busy threads beyond the host's cores, and TWINSYNC_JOBS would override
+# the sweep's --jobs.
 os.environ.pop("TWINSYNC_JOBS", None)
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
@@ -61,17 +61,20 @@ THETA = 2.0  # knowledge threshold of the paired runs
 SETUP_SAMPLES = 15  # fresh-process set-ups per run; setup_s is their median
 
 # Threshold rungs: from each checker's acceptance-suite ladder its lowest rung
-# (a resync on every drift), one middle rung, and inf (no resync). Scene1's
-# per-step cost moves by about 15% from seed to seed, so the round spends its
-# runs on repeats (seeds) rather than on rungs.
+# (a resync on every drift), one middle rung, and inf (no resync).
 LADDERS = {
     "state": "0,20,inf",
     "knowledge": "0,4,inf",
     "action": "0,0.4,inf",
     "action2": "0,0.6,inf",
 }
-SWEEP_REPEATS = 3
-SWEEP_JOBS = 2  # the traced run uses 1, so that every span stays in this process
+SWEEP_REPEATS = 2
+# The timed sweeps run in this process (--jobs 1). A 2-worker pool on a 2-core
+# host is timed by whichever worker the host slows: with it, two sets of ten
+# runs spread by 0.27 and 0.29 of their median. The pool runs once, untimed,
+# and must write the same bytes.
+POOL_JOBS = 2
+POOL_CHECKER = "knowledge"
 MAX_UPDATES = 1000.0  # twinsync pareto's default normalizer
 
 # The acceptance study settings with fewer samples and repeats. Each repeat
@@ -139,7 +142,7 @@ class PairsAllScenes:
     name = "pairs-all-scenes"
     scene_names = tuple(f"scene{i}" for i in range(1, 7))
 
-    def __init__(self, ts, seed, scenes, workdir, traced):
+    def __init__(self, ts, seed, scenes, workdir):
         self.ts, self.seed, self.scenes = ts, seed, scenes
 
     def config(self, name, **overrides):
@@ -201,13 +204,12 @@ class SweepScene1:
     name = "sweep-scene1"
     scene_names = ("scene1",)
 
-    def __init__(self, ts, seed, scenes, workdir, traced):
+    def __init__(self, ts, seed, scenes, workdir):
         self.ts, self.seed, self.workdir = ts, seed, workdir
-        self.jobs = 1 if traced else SWEEP_JOBS
         self.scene = scenes["scene1"]
 
-    def csv(self, checker):
-        return self.workdir / f"solutions-{checker}.csv"
+    def csv(self, checker, jobs=1):
+        return self.workdir / f"solutions-{checker}-jobs{jobs}.csv"
 
     def cli(self, argv):
         with contextlib.redirect_stdout(io.StringIO()):
@@ -215,13 +217,13 @@ class SweepScene1:
         if rc != 0:
             raise RuntimeError(f"twinsync {argv[0]} exited {rc}")
 
-    def sweep(self, checker):
+    def sweep(self, checker, jobs=1):
         self.cli(["sweep", "--scene", scene_path("scene1"), "--condition", "I",
                   "--checkers", checker, "--thetas", LADDERS[checker],
                   "--repeats", str(SWEEP_REPEATS), "--steps", str(STEPS),
-                  "--seed", str(self.seed), "--jobs", str(self.jobs),
-                  "--out", str(self.csv(checker))])
-        return self.csv(checker).read_bytes()
+                  "--seed", str(self.seed), "--jobs", str(jobs),
+                  "--out", str(self.csv(checker, jobs))])
+        return self.csv(checker, jobs).read_bytes()
 
     def pareto(self):
         combined = self.workdir / "solutions.csv"
@@ -272,6 +274,10 @@ class SweepScene1:
         for repeat, devs in free.items():
             if len(devs) != 1:
                 errors.append(f"repeat {repeat}: inf rows disagree on deviation {devs}")
+        # untimed: the process pool fans the same runs out and gathers them in order
+        if self.sweep(POOL_CHECKER, jobs=POOL_JOBS) != outputs[POOL_CHECKER]:
+            errors.append(f"{POOL_CHECKER} sweep with --jobs {POOL_JOBS} wrote other bytes "
+                          "than with --jobs 1")
 
         # pareto: normalization, front flags and hypervolumes from the solutions
         infs = [float(r["avg_utility_deviation"]) for r in rows if math.isinf(float(r["theta"]))]
@@ -310,7 +316,7 @@ class StudyScene6:
     name = "study-scene6"
     scene_names = ("scene6",)
 
-    def __init__(self, ts, seed, scenes, workdir, traced):
+    def __init__(self, ts, seed, scenes, workdir):
         self.ts, self.seed, self.scene = ts, seed, scenes["scene6"]
 
     def config(self, condition, settings):
@@ -457,7 +463,7 @@ def load_scenes(ts, names):
 
 def run_end_to_end(ts, cls, seed, seconds, workdir):
     setup_s = measure_setup(cls.scene_names)
-    workload = cls(ts, seed, load_scenes(ts, cls.scene_names), workdir, traced=False)
+    workload = cls(ts, seed, load_scenes(ts, cls.scene_names), workdir)
     ops = workload.ops()
     counter = Counter(workload)
     times = {op.name: [] for op in ops}
@@ -507,7 +513,7 @@ def run_traced(ts, cls, seed, seconds, workdir):
                 tracer.install()
             try:
                 c0 = cpu_seconds()
-                workload = cls(ts, seed, load_scenes(ts, cls.scene_names), workdir, traced=True)
+                workload = cls(ts, seed, load_scenes(ts, cls.scene_names), workdir)
                 if counter is None:
                     counter = Counter(workload)
                 for op in workload.ops():
@@ -556,7 +562,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     parser.add_argument("--seed", type=int, default=100)
-    parser.add_argument("--seconds", type=float, default=25.0)
+    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
 
