@@ -17,10 +17,9 @@ from .analysis import (
 )
 from .agent import (
     Decision,
-    Perception,
+    build_perceptions,
     decide,
     evolve_knowledge,
-    perceive,
     select_notify_targets,
     select_response,
 )
@@ -55,7 +54,6 @@ from .model import (
     ActionKind,
     ActionRecord,
     DroneState,
-    KnowledgeGraph,
     Message,
     ObjectState,
     SceneSpec,

@@ -3,24 +3,19 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .model import (
     ActionKind,
     ActionRecord,
-    KnowledgeGraph,
+    DroneState,
     Message,
+    ObjectState,
     Vec2,
-    WorldState,
+    read_only,
 )
-
-
-class SensedObject(NamedTuple):
-    id: int
-    position: Vec2
-    important: bool
 
 
 class AgentStreams(NamedTuple):
@@ -48,22 +43,6 @@ class AgentDraws(NamedTuple):
 
 
 @dataclass(frozen=True)
-class Perception:
-    """Everything one drone can see at one instant.
-
-    `co_cover` holds (other drone id, object id) pairs for objects this drone
-    itself has in range; `time` is the world clock at sensing.
-    """
-
-    drone_id: int
-    position: Vec2
-    time: int
-    objects_in_range: tuple[SensedObject, ...]  # ascending object id
-    co_cover: frozenset[tuple[int, int]]
-    inbox: tuple[Message, ...]
-
-
-@dataclass(frozen=True)
 class Decision:
     """One drone's chosen move and side effects for the current step.
 
@@ -85,100 +64,72 @@ RESPOND_DISTANCE = 2.0
 RANDOM_WALK_DISTANCE = 5.0
 
 
-def build_perceptions(world: WorldState, sensing_range: float) -> dict[int, Perception]:
-    """Sense the world once for every drone.
+def build_perceptions(
+    drones: Sequence[DroneState], objects: Sequence[ObjectState], sensing_range: float
+) -> np.ndarray:
+    """Sense one set of positions for the whole fleet: the (m, n) in-range matrix.
 
-    One distance matrix serves all drones, so this is the path the stepper
-    uses; `perceive` delegates here for single-drone queries.
+    Entry (i, j) is True when drone i has object j within sensing range, the
+    boundary included. Each world state is sensed once: `step_world` hands
+    the moved world's matrix on, and only new positions are sensed afresh.
     """
-    drones = world.drones
-    objects = world.objects
-    if not drones:
-        return {}
-
-    covered_by: dict[int, list[int]] = {o.id: [] for o in objects}
-    in_range: dict[int, list[SensedObject]] = {d.id: [] for d in drones}
-    if objects:
-        dpos = np.array([d.position for d in drones])
-        opos = np.array([o.position for o in objects])
-        diff = dpos[:, None, :] - opos[None, :, :]
-        dist = np.hypot(diff[:, :, 0], diff[:, :, 1])
-        for di, oj in zip(*np.nonzero(dist <= sensing_range)):
-            drone = drones[di]
-            obj = objects[oj]
-            covered_by[obj.id].append(drone.id)
-            in_range[drone.id].append(SensedObject(obj.id, obj.position, obj.important))
-
-    out: dict[int, Perception] = {}
-    for d in drones:
-        sensed = in_range[d.id]
-        pairs = frozenset(
-            (other, s.id)
-            for s in sensed
-            for other in covered_by[s.id]
-            if other != d.id
-        )
-        out[d.id] = Perception(
-            drone_id=d.id,
-            position=d.position,
-            time=world.time,
-            objects_in_range=tuple(sensed),
-            co_cover=pairs,
-            inbox=d.inbox,
-        )
-    return out
+    dpos = np.array([c for d in drones for c in d.position], dtype=float).reshape(-1, 2)
+    opos = np.array([c for o in objects for c in o.position], dtype=float).reshape(-1, 2)
+    diff = dpos[:, None, :] - opos[None, :, :]
+    return read_only(np.hypot(diff[:, :, 0], diff[:, :, 1]) <= sensing_range)
 
 
-def perceive(world: WorldState, drone_id: int, sensing_range: float) -> Perception:
-    """Sense the world from one drone's point of view."""
-    perceptions = build_perceptions(world, sensing_range)
-    if drone_id not in perceptions:
-        raise ValueError(f"unknown drone id {drone_id}")
-    return perceptions[drone_id]
-
-
-def select_notify_targets(graph: KnowledgeGraph, self_id: int, k: int) -> frozenset[int]:
+def select_notify_targets(
+    row: Sequence[float], ids: Sequence[int], self_id: int, k: int
+) -> frozenset[int]:
     """Pick the k-1 strongest-edge drones to ask for help, ties by ascending id.
 
+    `row` is the asker's weight row, aligned with the ascending roster `ids`.
     Zero-weight drones are eligible; with fewer than k-1 others, all of them
     are picked.
     """
-    others = sorted(graph.drones - {self_id})
-    others.sort(key=lambda d: -graph.weight(d))  # stable: id order breaks ties
-    return frozenset(others[: max(0, k - 1)])
+    others = [j for j, d in enumerate(ids) if d != self_id]
+    others.sort(key=lambda j: -row[j])  # stable: id order breaks ties
+    return frozenset(ids[j] for j in others[: max(0, k - 1)])
 
 
-def select_response(inbox: tuple[Message, ...], graph: KnowledgeGraph) -> Message | None:
+def select_response(
+    inbox: tuple[Message, ...], row: Sequence[float], ids: Sequence[int]
+) -> Message | None:
     """Choose which help request to honour: strongest edge, then newest, then lowest sender id."""
     if not inbox:
         return None
     return min(
         inbox,
-        key=lambda m: (-graph.weight(m.sender_id), -m.sent_at, m.sender_id),
+        key=lambda m: (-row[ids.index(m.sender_id)], -m.sent_at, m.sender_id),
     )
 
 
 def decide(
-    perception: Perception,
-    graph: KnowledgeGraph,
+    drone: DroneState,
+    time: int,
+    sensed: Sequence[tuple[ObjectState, int]],
+    row: Sequence[float],
+    ids: Sequence[int],
     draws: AgentDraws,
     k: int,
 ) -> Decision:
     """Select this step's action.
 
-    Priority: important object in range (notify if not locally k-covered,
-    else follow), then answering a help request, then a random walk. Pure in
-    its inputs: all randomness arrives pre-drawn in `draws`.
+    `sensed` pairs each important object in range, in ascending id order,
+    with how many other drones cover it; `row` is this drone's weight row,
+    aligned with the ascending roster `ids`. Priority: important object in
+    range (notify if not locally k-covered, else follow), then answering a
+    help request, then a random walk. Pure in its inputs: all randomness
+    arrives pre-drawn in `draws`.
     """
-    me = perception.drone_id
-    important = [o for o in perception.objects_in_range if o.important]
-    if important:
-        # objects_in_range is id-sorted, so the draw is order-independent
-        obj = important[int(draws.choice * len(important))]
-        covering_others = {d for d, oid in perception.co_cover if oid == obj.id}
-        if len(covering_others) < k - 1:
-            targets = select_notify_targets(graph, me, k)
-            msg = Message(me, obj.id, obj.position, perception.time)
+    me = drone.id
+    if sensed:
+        # sensed is id-sorted, so the draw is order-independent
+        obj, covering_others = sensed[int(draws.choice * len(sensed))]
+        if covering_others < k - 1:
+            targets = select_notify_targets(row, ids, me, k)
+            msg = Message(me, obj.id, obj.position, time)
             action = ActionRecord(
                 me,
                 ActionKind.NOTIFY_AND_FOLLOW,
@@ -200,7 +151,7 @@ def decide(
             move_distance=FOLLOW_DISTANCE,
         )
 
-    request = select_response(perception.inbox, graph)
+    request = select_response(drone.inbox, row, ids)
     if request is not None:
         action = ActionRecord(
             me,
@@ -226,17 +177,25 @@ def decide(
 
 
 def evolve_knowledge(
-    graph: KnowledgeGraph,
-    perception: Perception,
+    weights: np.ndarray,
+    in_range: np.ndarray,
     gamma: float,
     delta: float,
-) -> KnowledgeGraph:
-    """One pheromone step: evaporate all edges, reinforce per co-covered object.
+) -> np.ndarray:
+    """One pheromone step for the fleet: evaporate every edge, then reinforce
+    each drone pair once per object both have in range.
 
-    Weights stay below delta * n_objects / (1 - gamma) because each step adds
-    at most delta per shared object after multiplying by gamma.
+    Delta is added once per shared-object count level, so every edge sees
+    w*gamma + delta + delta ... in the order a per-object loop adds it
+    (w*gamma + 2*delta can differ in the last bit). The result is symmetric
+    with a zero diagonal by construction, and weights stay below
+    delta * n_objects / (1 - gamma) because each step adds at most delta per
+    shared object after multiplying by gamma.
     """
-    weights = {d: w * gamma for d, w in graph.weights.items()}
-    for other, _oid in sorted(perception.co_cover):
-        weights[other] = weights.get(other, 0.0) + delta
-    return KnowledgeGraph(graph.owner, graph.drones, weights)
+    hits = in_range.astype(np.int64)
+    shared = hits @ hits.T
+    np.fill_diagonal(shared, 0)
+    out = weights * gamma
+    for level in range(1, int(shared.max(initial=0)) + 1):
+        out[shared >= level] += delta
+    return read_only(out)

@@ -124,6 +124,22 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+# Flags whose value may start with "-" (theta = -1 forces an update at every
+# check). argparse reads a token like "-1,inf" as an option, so main joins
+# such a value to its flag ("--thetas=-1,inf") before parsing.
+_DASH_VALUE_FLAGS = ("--theta", "--thetas")
+
+
+def _join_dash_values(argv: list[str]) -> list[str]:
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in _DASH_VALUE_FLAGS and token.startswith("-"):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def _add_scene_overrides(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("scene parameter overrides (default: scene file values)")
     g.add_argument("--k", type=int, default=None, help="coverage requirement")
@@ -189,6 +205,11 @@ def _jobs_from(args) -> int:
     return jobs
 
 
+def _pool_size(jobs: int, n_work: int) -> int:
+    """Sweep worker processes: never more than the runs or the cores."""
+    return min(jobs, n_work, os.cpu_count() or 1)
+
+
 def _write_csv(path: str, header, rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -252,8 +273,15 @@ def _validate_run_flags(args) -> None:
         raise UsageError(f"--steps must be >= 1, got {args.steps}")
 
 
+def _reject_nan(thetas: list[float], flag: str) -> None:
+    # NaN compares false with every window sum, so the run would never update
+    if any(math.isnan(theta) for theta in thetas):
+        raise UsageError(f"{flag} must not be NaN")
+
+
 def _cmd_run(args) -> int:
     _validate_run_flags(args)
+    _reject_nan([args.theta], "--theta")
     scene, name = _load_scene_for(args)
     if args.checker == "action2" and scene.k < 2:
         raise UsageError("checker action2 needs k >= 2")
@@ -286,6 +314,7 @@ def _cmd_sweep(args) -> int:
         thetas = [float(x) for x in args.thetas.split(",") if x.strip()]
     except ValueError as exc:
         raise UsageError(f"bad theta list: {exc}") from exc
+    _reject_nan(thetas, "--thetas")
     if not checkers or not thetas:
         raise UsageError("need at least one checker and one theta")
     if args.repeats < 1:
@@ -297,9 +326,9 @@ def _cmd_sweep(args) -> int:
         for theta in thetas
         for repeat in range(args.repeats)
     ]
-    jobs = _jobs_from(args)
-    if jobs > 1 and len(work) > 1:
-        with Pool(processes=jobs) as pool:
+    processes = _pool_size(_jobs_from(args), len(work))
+    if processes > 1:
+        with Pool(processes=processes) as pool:
             rows = pool.map(_sweep_worker, work)  # map preserves submission order
     else:
         rows = [_sweep_worker(item) for item in work]
@@ -512,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_dash_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
     except UsageError as exc:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -11,31 +10,19 @@ import numpy as np
 
 from .model import ActionKind, ActionRecord, WorldState
 
-SYMMETRY_TOLERANCE = 1e-9
-
 # ============================================================
 # Comparison vectors
 # ============================================================
 
 
 def knowledge_vector(world: WorldState) -> np.ndarray:
-    """Stack every unordered drone pair's edge weight, pairs in lexicographic id order.
+    """Every unordered drone pair's edge weight, pairs in lexicographic id order.
 
-    Both endpoints hold a copy of each edge; they must agree to within
-    1e-9 or the system's symmetry invariant is broken and this raises.
+    The weight matrix is symmetric by construction, so its upper triangle,
+    read in row order, holds each edge once.
     """
-    ids = sorted(d.id for d in world.drones)
-    graphs = {d.id: d.graph for d in world.drones}
-    values = []
-    for i, j in itertools.combinations(ids, 2):
-        w_ij = graphs[i].weight(j)
-        w_ji = graphs[j].weight(i)
-        if abs(w_ij - w_ji) > SYMMETRY_TOLERANCE:
-            raise RuntimeError(
-                f"asymmetric edge ({i}, {j}): {w_ij!r} vs {w_ji!r}"
-            )
-        values.append(w_ij)
-    return np.asarray(values, dtype=float)
+    order = np.arange(len(world.drones))
+    return world.weights[order[:, None] < order]
 
 
 def state_vector(world: WorldState) -> np.ndarray:

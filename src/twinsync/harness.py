@@ -15,14 +15,13 @@ from .analysis import avg_utility_deviation, comparison_memory_cost
 from .equivalence import CheckerHistory, get_checker, windowed_check
 from .model import (
     DroneState,
-    KnowledgeGraph,
-    Message,
     ObjectState,
     SceneSpec,
     Vec2,
     WorldState,
+    read_only,
 )
-from .agent import AgentStreams
+from .agent import AgentStreams, build_perceptions
 from .worldsim import clamp_point, coverage_map, step_world, utility_k
 
 # ============================================================
@@ -104,21 +103,18 @@ class SnapshotObject:
     estimated: bool  # position is a noisy estimate, not a measurement
 
 
-@dataclass(frozen=True)
-class SnapshotDrone:
-    id: int
-    position: Vec2
-    inbox: tuple[Message, ...]
-    graph: KnowledgeGraph
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Snapshot:
-    """What the physical side reports when the twin asks for a resync."""
+    """What the physical side reports when the twin asks for a resync.
+
+    Drones and the weight matrix are reported exactly, so the snapshot
+    shares them with the physical world instead of copying them.
+    """
 
     time: int
     objects: tuple[SnapshotObject, ...]
-    drones: tuple[SnapshotDrone, ...]
+    drones: tuple[DroneState, ...]
+    weights: np.ndarray
 
 
 def sense_snapshot(
@@ -132,12 +128,12 @@ def sense_snapshot(
     Under a sensor-limited threat, objects nobody currently covers get their
     position estimated with per-coordinate noise (U[0, e] by default,
     U[-e, e] when signed), clamped into bounds and flagged. Directions,
-    importance, inboxes, and graphs are reported exactly.
+    importance, inboxes, and edge weights are reported exactly.
     """
     uncovered: set[int] = set()
     if threat.sensor_limited:
-        cov = coverage_map(physical, physical.params.sensing_range)
-        uncovered = {oid for oid, drones in cov.items() if not drones}
+        cov = coverage_map(physical).tolist()
+        uncovered = {o.id for o, n in zip(physical.objects, cov) if n == 0}
 
     objects = []
     for o in physical.objects:
@@ -153,10 +149,7 @@ def sense_snapshot(
             estimated = True
         objects.append(SnapshotObject(o.id, pos, o.direction, o.important, estimated))
 
-    drones = tuple(
-        SnapshotDrone(d.id, d.position, d.inbox, d.graph) for d in physical.drones
-    )
-    return Snapshot(physical.time, tuple(objects), drones)
+    return Snapshot(physical.time, tuple(objects), physical.drones, physical.weights)
 
 
 STRATEGIES = ("update", "keep", "clear")
@@ -166,9 +159,10 @@ def apply_update(twin: WorldState, snapshot: Snapshot, strategy: str) -> WorldSt
     """Overwrite the twin from a snapshot.
 
     All strategies replace positions, directions, importance flags, and
-    inboxes. They differ on the interaction graphs: "update" copies them from
-    the snapshot, "keep" leaves the twin's own graphs in place, "clear" zeroes
-    every edge. Agent rng streams are never touched.
+    inboxes, and sense the new positions afresh. They differ on the weight
+    matrix: "update" takes the snapshot's, "keep" leaves the twin's own in
+    place (both shared, not copied), "clear" zeroes every edge. Agent rng
+    streams are never touched.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown update strategy {strategy!r}")
@@ -180,17 +174,14 @@ def apply_update(twin: WorldState, snapshot: Snapshot, strategy: str) -> WorldSt
         ObjectState(o.id, o.position, o.direction, o.important)
         for o in snapshot.objects
     )
-    twin_graphs = {d.id: d.graph for d in twin.drones}
-    drones = []
-    for sd in snapshot.drones:
-        if strategy == "update":
-            graph = sd.graph.copy()
-        elif strategy == "keep":
-            graph = twin_graphs[sd.id]
-        else:
-            graph = KnowledgeGraph.empty(sd.id, sd.graph.drones)
-        drones.append(DroneState(sd.id, sd.position, sd.inbox, graph))
-    return WorldState(twin.time, objects, tuple(drones), twin.params)
+    if strategy == "update":
+        weights = snapshot.weights
+    elif strategy == "keep":
+        weights = twin.weights
+    else:
+        weights = read_only(np.zeros_like(twin.weights))
+    in_range = build_perceptions(snapshot.drones, objects, twin.params.sensing_range)
+    return WorldState(twin.time, objects, snapshot.drones, twin.params, weights, in_range)
 
 
 # ============================================================
@@ -228,8 +219,6 @@ class Trace:
     metric_values: list[float] = field(default_factory=list)
     updated: list[bool] = field(default_factory=list)
     update_steps: list[int] = field(default_factory=list)
-    action_kinds_physical: list[tuple[str, ...]] = field(default_factory=list)
-    action_kinds_twin: list[tuple[str, ...]] = field(default_factory=list)
     memory_cost: float = 0.0
 
     @property
@@ -278,10 +267,10 @@ def run_paired(config: TwinRunConfig) -> Trace:
 
     physical = config.scene.build_world()
     twin = config.scene.build_world()
-    params = physical.params
-    k = params.k
+    k = physical.params.k
     if config.checker == "action2" and k < 2:
         raise ValueError("checker action2 needs k >= 2")
+    m, n_obj = len(physical.drones), len(physical.objects)
 
     ids = [d.id for d in physical.drones]
     phys_rngs = agent_streams(config.seed, ids)
@@ -301,16 +290,19 @@ def run_paired(config: TwinRunConfig) -> Trace:
     trace = Trace(config)
     prev_actions_phys: tuple = ()
     prev_actions_twin: tuple = ()
+    action2_cost = 0.0  # running sum of the per-step action2 costs
 
     for t in range(config.steps):
         payload_phys = checker.payload(physical, prev_actions_phys)
         payload_twin = checker.payload(twin, prev_actions_twin)
         history.append(t, payload_phys, payload_twin)
         trace.metric_values.append(metric(payload_phys, payload_twin))
-        trace.action_kinds_physical.append(
-            tuple(a.kind.value for a in prev_actions_phys)
-        )
-        trace.action_kinds_twin.append(tuple(a.kind.value for a in prev_actions_twin))
+        if config.checker == "action2":
+            action2_cost += comparison_memory_cost(
+                "action2", m, n_obj, k=k,
+                step_kinds=([a.kind.value for a in prev_actions_phys],
+                            [a.kind.value for a in prev_actions_twin]),
+            )
 
         outcome = windowed_check(history, t, config.q, config.l, config.theta, metric)
         if outcome.triggered:
@@ -323,8 +315,8 @@ def run_paired(config: TwinRunConfig) -> Trace:
         # Utilities describe the tick as the manager leaves it: payloads and
         # the window are read from the pre-update twin, but the recorded u'
         # reflects any re-init applied this tick.
-        trace.u_physical.append(utility_k(physical, k, params.sensing_range))
-        trace.u_twin.append(utility_k(twin, k, params.sensing_range))
+        trace.u_physical.append(utility_k(physical, k))
+        trace.u_twin.append(utility_k(twin, k))
 
         physical, prev_actions_phys = step_world(
             physical,
@@ -336,18 +328,11 @@ def run_paired(config: TwinRunConfig) -> Trace:
         if config.realtime > 0:
             _time.sleep(config.realtime)
 
-    trace.memory_cost = _trace_memory_cost(trace, len(ids), len(physical.objects), k)
+    if config.checker == "action2":
+        trace.memory_cost = action2_cost / config.steps
+    else:
+        trace.memory_cost = comparison_memory_cost(config.checker, m, n_obj)
     return trace
-
-
-def _trace_memory_cost(trace: Trace, m: int, n_obj: int, k: int) -> float:
-    if trace.config.checker != "action2":
-        return comparison_memory_cost(trace.config.checker, m, n_obj)
-    costs = [
-        comparison_memory_cost("action2", m, n_obj, k=k, step_kinds=(kp, kt))
-        for kp, kt in zip(trace.action_kinds_physical, trace.action_kinds_twin)
-    ]
-    return sum(costs) / len(costs) if costs else 0.0
 
 
 # ============================================================
@@ -466,7 +451,6 @@ def run_strategy_study(config: StrategyStudyConfig) -> StrategyStudyResult:
     snapshot_points = {s + config.accumulation for s in start_times}
 
     k = config.scene.k
-    sensing_range = config.scene.sensing_range
     ids = [d.id for d in config.scene.drones]
     deviations: dict[str, list[float]] = {s: [] for s in STRATEGIES}
 
@@ -475,7 +459,7 @@ def run_strategy_study(config: StrategyStudyConfig) -> StrategyStudyResult:
         phys_rngs = agent_streams(config.seed, ids, salt=(rep,))
         noise_rng = derive_rng(config.seed, STREAM_NOISE, rep)
 
-        u_phys = [utility_k(physical, k, sensing_range)]
+        u_phys = [utility_k(physical, k)]
         worlds: dict[int, WorldState] = {}
         stream_copies: dict[int, dict[int, AgentStreams]] = {}
         if 0 in clone_points:
@@ -489,7 +473,7 @@ def run_strategy_study(config: StrategyStudyConfig) -> StrategyStudyResult:
                 bias_degrees=threat.bias_degrees,
                 bias_mode=config.bias_mode,
             )
-            u_phys.append(utility_k(physical, k, sensing_range))
+            u_phys.append(utility_k(physical, k))
             if t in clone_points or t in snapshot_points:
                 worlds[t] = physical
                 if t in clone_points:
@@ -518,7 +502,7 @@ def run_strategy_study(config: StrategyStudyConfig) -> StrategyStudyResult:
                 for step in range(1, config.evaluation + 1):
                     branch, _ = step_world(branch, branch_rngs)
                     gaps.append(
-                        abs(u_phys[update_at + step] - utility_k(branch, k, sensing_range))
+                        abs(u_phys[update_at + step] - utility_k(branch, k))
                     )
                 deviations[strategy].append(sum(gaps) / len(gaps))
 

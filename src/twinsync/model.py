@@ -1,13 +1,15 @@
-"""Core domain types: world entities, agent knowledge graphs, scene files."""
+"""Core domain types: world entities, fleet knowledge, scene files."""
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
+
+import numpy as np
 
 # ============================================================
 # Geometry and messaging primitives
@@ -52,36 +54,6 @@ class ActionRecord:
 
 
 # ============================================================
-# Agent knowledge
-# ============================================================
-
-
-@dataclass(frozen=True)
-class KnowledgeGraph:
-    """One agent's interaction-awareness graph.
-
-    Vertices are all drones in the system (the roster is known from scene
-    load). `weights` stores only nonzero edges incident to `owner`, keyed by
-    the other endpoint; a missing key reads as weight 0. Instances are never
-    mutated in place: evolution and updates build new graphs.
-    """
-
-    owner: int
-    drones: frozenset[int]
-    weights: dict[int, float] = field(default_factory=dict)
-
-    def weight(self, other: int) -> float:
-        return self.weights.get(other, 0.0)
-
-    def copy(self) -> KnowledgeGraph:
-        return KnowledgeGraph(self.owner, self.drones, dict(self.weights))
-
-    @classmethod
-    def empty(cls, owner: int, drone_ids: Iterable[int]) -> KnowledgeGraph:
-        return cls(owner, frozenset(drone_ids), {})
-
-
-# ============================================================
 # World state
 # ============================================================
 
@@ -99,7 +71,6 @@ class DroneState:
     id: int
     position: Vec2
     inbox: tuple[Message, ...]
-    graph: KnowledgeGraph
 
 
 @dataclass(frozen=True)
@@ -117,14 +88,29 @@ class WorldParams:
         return (self.width, self.height)
 
 
-@dataclass(frozen=True)
+def read_only(array: np.ndarray) -> np.ndarray:
+    """Mark an array read-only and return it, so world states can share it."""
+    array.flags.writeable = False
+    return array
+
+
+@dataclass(frozen=True, eq=False)
 class WorldState:
-    """Full simulation state at one instant. Entity tuples are id-sorted."""
+    """Full simulation state at one instant. Entity tuples are id-sorted.
+
+    `weights` is the fleet's interaction knowledge: one read-only, symmetric
+    (m, m) matrix of pheromone edge weights, rows and columns in drone order,
+    zero on the diagonal. `in_range` is the read-only (m, n) sensing of these
+    positions: entry (i, j) is True when drone i has object j in range. World
+    states that agree on either array share it rather than copy it.
+    """
 
     time: int
     objects: tuple[ObjectState, ...]
     drones: tuple[DroneState, ...]
     params: WorldParams
+    weights: np.ndarray
+    in_range: np.ndarray
 
     def drone(self, drone_id: int) -> DroneState:
         for d in self.drones:
@@ -178,7 +164,9 @@ class SceneSpec:
         return replace(self, **changes) if changes else self
 
     def build_world(self) -> WorldState:
-        """Instantiate the t=0 world: empty inboxes, zero-weight graphs."""
+        """Instantiate the t=0 world: empty inboxes, all edge weights zero."""
+        from .agent import build_perceptions  # agent imports this module
+
         params = WorldParams(
             width=self.width,
             height=self.height,
@@ -188,16 +176,17 @@ class SceneSpec:
             delta=self.delta,
             importance_period=self.importance_period,
         )
-        roster = frozenset(d.id for d in self.drones)
         drones = tuple(
-            DroneState(d.id, Vec2(d.x, d.y), (), KnowledgeGraph.empty(d.id, roster))
+            DroneState(d.id, Vec2(d.x, d.y), ())
             for d in sorted(self.drones, key=lambda d: d.id)
         )
         objects = tuple(
             ObjectState(o.id, Vec2(o.x, o.y), float(o.direction), bool(o.important))
             for o in sorted(self.objects, key=lambda o: o.id)
         )
-        return WorldState(0, objects, drones, params)
+        weights = read_only(np.zeros((len(drones), len(drones))))
+        in_range = build_perceptions(drones, objects, self.sensing_range)
+        return WorldState(0, objects, drones, params, weights, in_range)
 
 
 def scene_to_dict(scene: SceneSpec) -> dict:

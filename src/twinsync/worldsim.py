@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import Mapping
 
 import numpy as np
@@ -92,71 +93,68 @@ def toggle_importance(world: WorldState, t: int, period: int) -> WorldState:
         ObjectState(o.id, o.position, o.direction, not o.important)
         for o in world.objects
     )
-    return WorldState(world.time, objects, world.drones, world.params)
+    return replace(world, objects=objects)
 
 
-def coverage_map(world: WorldState, sensing_range: float) -> dict[int, frozenset[int]]:
-    """Map each object id to the set of drone ids currently covering it."""
-    cov: dict[int, set[int]] = {o.id: set() for o in world.objects}
-    if world.objects and world.drones:
-        dpos = np.array([d.position for d in world.drones])
-        opos = np.array([o.position for o in world.objects])
-        diff = dpos[:, None, :] - opos[None, :, :]
-        dist = np.hypot(diff[:, :, 0], diff[:, :, 1])
-        for di, oj in zip(*np.nonzero(dist <= sensing_range)):
-            cov[world.objects[oj].id].add(world.drones[di].id)
-    return {oid: frozenset(s) for oid, s in cov.items()}
+def coverage_map(world: WorldState) -> np.ndarray:
+    """How many drones cover each object, in object order, from the world's sensing."""
+    return world.in_range.sum(axis=0)
 
 
-def utility_k(world: WorldState, k: int, sensing_range: float) -> float:
+def utility_k(world: WorldState, k: int) -> float:
     """Fraction of all objects covered by at least k drones."""
     if not world.objects:
         raise ValueError("utility undefined for a world with no objects")
-    cov = coverage_map(world, sensing_range)
-    return sum(1 for s in cov.values() if len(s) >= k) / len(world.objects)
+    return int(np.count_nonzero(coverage_map(world) >= k)) / len(world.objects)
 
 
 def step_world(
     world: WorldState,
     rngs: Mapping[int, AgentStreams],
-    k: int | None = None,
     bias_degrees: float = 0.0,
     bias_mode: str = "accumulate",
 ) -> tuple[WorldState, tuple[ActionRecord, ...]]:
     """Advance the world by one step; returns the new world and the actions taken.
 
-    Order within the step: sense, decide, move drones, deliver messages (one
-    step latency, previous inboxes expire), move objects (with heading bias,
-    the tamper channel), cycle importance, advance the clock, then evolve
-    knowledge from the co-coverage of the moved world, so the graphs an
-    outside observer reads always describe the same configuration as the
-    positions. Each drone draws one uniform from each of its two channels
-    every step, used or not, so two worlds stepped in lockstep stay
-    draw-aligned no matter how their branches differ.
+    Order within the step: decide from the world's own sensing, move drones,
+    deliver messages (one step latency, previous inboxes expire), move
+    objects (with heading bias, the tamper channel), cycle importance,
+    advance the clock, then sense the moved world once and evolve knowledge
+    from its co-coverage, so the weights an outside observer reads always
+    describe the same configuration as the positions. Evolving knowledge
+    moves nothing, so that sensing is handed to the returned world, where the
+    next step decides on it. Each drone draws one uniform from each of its
+    two channels every step, used or not, so two worlds stepped in lockstep
+    stay draw-aligned no matter how their branches differ.
     """
     params = world.params
-    kk = params.k if k is None else k
     bounds = params.bounds
+    objects = world.objects
+    ids = tuple(d.id for d in world.drones)
 
-    perceptions = build_perceptions(world, params.sensing_range)
-    draws = {
-        d.id: AgentDraws(
-            float(rngs[d.id].choice.random()),
-            float(rngs[d.id].walk.random()),
+    covering_others = (coverage_map(world) - 1).tolist()
+    sensed: list[list[tuple[ObjectState, int]]] = [[] for _ in ids]
+    rows, cols = world.in_range.nonzero()  # row-major: ascending object id per drone
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        if objects[j].important:
+            sensed[i].append((objects[j], covering_others[j]))
+
+    decisions = []
+    for i, d in enumerate(world.drones):
+        streams = rngs[d.id]
+        draws = AgentDraws(float(streams.choice.random()), float(streams.walk.random()))
+        decisions.append(
+            decide(d, world.time, sensed[i], world.weights[i], ids, draws, params.k)
         )
-        for d in world.drones
-    }
-    decisions = {d.id: decide(perceptions[d.id], d.graph, draws[d.id], kk) for d in world.drones}
-    actions = tuple(decisions[d.id].action for d in world.drones)
+    actions = tuple(dec.action for dec in decisions)
 
     deliveries: dict[int, list[Message]] = {}
-    for d in world.drones:
-        for recipient, msg in decisions[d.id].outgoing:
+    for dec in decisions:
+        for recipient, msg in dec.outgoing:
             deliveries.setdefault(recipient, []).append(msg)
 
     new_drones = []
-    for d in world.drones:
-        dec = decisions[d.id]
+    for d, dec in zip(world.drones, decisions):
         if dec.move_target is not None:
             pos = move_point_toward(d.position, dec.move_target, dec.move_distance, bounds)
         else:
@@ -168,23 +166,14 @@ def step_world(
                 ),
                 bounds,
             )
-        new_drones.append(DroneState(d.id, pos, tuple(deliveries.get(d.id, ())), d.graph))
+        new_drones.append(DroneState(d.id, pos, tuple(deliveries.get(d.id, ()))))
 
     new_objects = tuple(
-        move_object(o, bias_degrees, bounds, bias_mode) for o in world.objects
+        move_object(o, bias_degrees, bounds, bias_mode) for o in objects
     )
-
-    stepped = WorldState(world.time + 1, new_objects, tuple(new_drones), params)
-    stepped = toggle_importance(stepped, stepped.time, params.importance_period)
-
-    settled = build_perceptions(stepped, params.sensing_range)
-    evolved = tuple(
-        DroneState(
-            d.id,
-            d.position,
-            d.inbox,
-            evolve_knowledge(d.graph, settled[d.id], params.gamma, params.delta),
-        )
-        for d in stepped.drones
+    in_range = build_perceptions(new_drones, new_objects, params.sensing_range)
+    weights = evolve_knowledge(world.weights, in_range, params.gamma, params.delta)
+    stepped = WorldState(
+        world.time + 1, new_objects, tuple(new_drones), params, weights, in_range
     )
-    return WorldState(stepped.time, stepped.objects, evolved, params), actions
+    return toggle_importance(stepped, stepped.time, params.importance_period), actions

@@ -63,3 +63,49 @@ def random_fronts(seed: int, count: int, max_points: int = 8):
     for _ in range(count):
         n = int(rng.integers(1, max_points + 1))
         yield [SolutionPoint(float(x), float(y)) for x, y in rng.random((n, 2))]
+
+
+# ------------------------------------------------------------
+# Per-drone knowledge references
+# ------------------------------------------------------------
+# One dict of edge weights per drone, evolved from that drone's own
+# (other drone, object) co-cover pairs, and a knowledge vector assembled
+# pair by pair: the per-drone algorithms the fleet-wide weight matrix must
+# match bit for bit.
+
+
+def reference_co_cover(world, sensing_range):
+    """Per drone id, the sorted (other drone id, object id) pairs it shares."""
+    dpos = np.array([d.position for d in world.drones])
+    opos = np.array([o.position for o in world.objects])
+    diff = dpos[:, None, :] - opos[None, :, :]
+    dist = np.hypot(diff[:, :, 0], diff[:, :, 1])
+    covered_by = {o.id: [] for o in world.objects}
+    sensed = {d.id: [] for d in world.drones}
+    for di, oj in zip(*np.nonzero(dist <= sensing_range)):
+        covered_by[world.objects[oj].id].append(world.drones[di].id)
+        sensed[world.drones[di].id].append(world.objects[oj].id)
+    return {
+        me: sorted((other, oid) for oid in oids for other in covered_by[oid] if other != me)
+        for me, oids in sensed.items()
+    }
+
+
+def reference_evolve(weights, co_cover, gamma, delta):
+    """One drone's pheromone step: evaporate, then add delta per shared object."""
+    out = {other: w * gamma for other, w in weights.items()}
+    for other, _oid in co_cover:
+        out[other] = out.get(other, 0.0) + delta
+    return out
+
+
+def reference_knowledge_vector(graphs):
+    """Pairwise loop over id pairs; both endpoints must hold the same weight."""
+    ids = sorted(graphs)
+    values = []
+    for a, i in enumerate(ids):
+        for j in ids[a + 1:]:
+            w_ij, w_ji = graphs[i].get(j, 0.0), graphs[j].get(i, 0.0)
+            assert w_ij == w_ji, f"asymmetric edge ({i}, {j}): {w_ij!r} vs {w_ji!r}"
+            values.append(w_ij)
+    return np.asarray(values, dtype=float)

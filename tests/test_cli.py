@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from twinsync import cli
 from twinsync.cli import main
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
@@ -211,6 +212,67 @@ def test_sweep_rejects_bad_theta_list(tmp_path, capsys):
                "--out", str(tmp_path / "x.csv")])
     assert rc == 1
     assert "theta" in capsys.readouterr().err
+
+
+def test_sweep_accepts_a_theta_list_that_starts_with_a_dash(tmp_path):
+    scene = gen_scene(tmp_path)
+    base = ["sweep", "--scene", str(scene), "--condition", "I", "--checkers", "state",
+            "--repeats", "1", "--steps", "15", "--jobs", "1"]
+    spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+    assert main(base + ["--thetas", "-1,inf", "--out", str(spaced)]) == 0
+    assert main(base + ["--thetas=-1,inf", "--out", str(joined)]) == 0
+    assert spaced.read_bytes() == joined.read_bytes()
+    rows = read_rows(spaced)
+    assert [r[3] for r in rows[1:]] == ["-1.0", "inf"]
+    assert rows[1][8] == "15"  # theta = -1 updates at every check
+
+
+@pytest.mark.parametrize("command,flag,value", [("run", "--theta", "nan"),
+                                                ("sweep", "--thetas", "0,nan,inf")])
+def test_nan_thresholds_are_rejected(tmp_path, capsys, command, flag, value):
+    scene = gen_scene(tmp_path)
+    outputs = (["--trace", str(tmp_path / "t.csv"), "--summary", str(tmp_path / "s.csv")]
+               if command == "run" else ["--out", str(tmp_path / "x.csv")])
+    rc = main([command, "--scene", str(scene), flag, value, "--steps", "5", *outputs])
+    assert rc == 1
+    assert f"{flag} must not be NaN" in capsys.readouterr().err
+    assert not any(tmp_path.glob("*.csv"))
+
+
+def test_sweep_pool_size_is_capped_by_runs_and_cores(monkeypatch):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    assert cli._pool_size(1000, 50) == 4
+    assert cli._pool_size(1000, 3) == 3
+    assert cli._pool_size(2, 50) == 2
+    assert cli._pool_size(1, 50) == 1
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert cli._pool_size(8, 50) == 1
+
+
+def test_sweep_starts_no_more_workers_than_runs_or_cores(tmp_path, monkeypatch):
+    started = []
+
+    class SerialPool:  # stands in for multiprocessing.Pool; starts no process
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(cli, "Pool", SerialPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    scene = gen_scene(tmp_path)
+    rc = main(["sweep", "--scene", str(scene), "--checkers", "state", "--thetas", "0,inf",
+               "--repeats", "1", "--steps", "5", "--jobs", "1000",
+               "--out", str(tmp_path / "x.csv")])
+    assert rc == 0
+    assert started == [2]
 
 
 def test_sweep_rejects_unknown_checker(tmp_path, capsys):

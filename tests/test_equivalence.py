@@ -1,5 +1,6 @@
 """Comparison vectors, deviation metrics, windowed checking, the checker registry."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -20,7 +21,7 @@ from twinsync.equivalence import (
     state_vector,
     windowed_check,
 )
-from twinsync.model import ActionKind, ActionRecord, KnowledgeGraph, Vec2
+from twinsync.model import ActionKind, ActionRecord, Vec2, read_only
 
 from helpers import make_scene
 
@@ -32,18 +33,10 @@ def world_with_weights(weight_map):
         objects=[(0, 5.0, 5.0, 0.0, True)],
     )
     world = scene.build_world()
-    drones = []
-    for d in world.drones:
-        weights = {}
-        for (a, b), w in weight_map.items():
-            if d.id == a:
-                weights[b] = w
-            elif d.id == b:
-                weights[a] = w
-        drones.append(
-            type(d)(d.id, d.position, d.inbox, KnowledgeGraph(d.id, d.graph.drones, weights))
-        )
-    return type(world)(world.time, world.objects, tuple(drones), world.params)
+    weights = np.zeros((3, 3))
+    for (a, b), w in weight_map.items():
+        weights[a, b] = weights[b, a] = w
+    return dataclasses.replace(world, weights=read_only(weights))
 
 
 # ------------------------------------------------------------
@@ -67,33 +60,8 @@ def test_knowledge_vector_slots_in_pair_order():
     vec = knowledge_vector(world_with_weights({(1, 2): 4.0}))
     # pairs in lexicographic order: (0,1), (0,2), (1,2)
     assert vec.tolist() == [0.0, 0.0, 4.0]
-
-
-def test_knowledge_vector_rejects_asymmetry():
-    world = world_with_weights({})
-    drones = list(world.drones)
-    d0 = drones[0]
-    drones[0] = type(d0)(
-        d0.id, d0.position, d0.inbox,
-        KnowledgeGraph(d0.id, d0.graph.drones, {1: 3.0}),
-    )
-    broken = type(world)(world.time, world.objects, tuple(drones), world.params)
-    with pytest.raises(RuntimeError, match=r"asymmetric edge \(0, 1\)"):
-        knowledge_vector(broken)
-
-
-def test_knowledge_vector_tolerates_tiny_asymmetry():
-    world = world_with_weights({})
-    drones = list(world.drones)
-    for i, w in ((0, 1.0), (1, 1.0 + 5e-10)):
-        d = drones[i]
-        other = 1 - i
-        drones[i] = type(d)(
-            d.id, d.position, d.inbox,
-            KnowledgeGraph(d.id, d.graph.drones, {other: w}),
-        )
-    world = type(world)(world.time, world.objects, tuple(drones), world.params)
-    assert knowledge_vector(world)[0] == pytest.approx(1.0)
+    vec = knowledge_vector(world_with_weights({(0, 1): 1.0, (0, 2): 2.0, (1, 2): 3.0}))
+    assert vec.tolist() == [1.0, 2.0, 3.0]
 
 
 def test_state_vector_orders_objects_then_drones():

@@ -23,7 +23,8 @@ from twinsync.harness import (
     summary_row,
     SUMMARY_HEADER,
 )
-from twinsync.model import KnowledgeGraph, Vec2
+from twinsync.agent import build_perceptions
+from twinsync.analysis import comparison_memory_cost
 from twinsync.worldsim import coverage_map, step_world, utility_k
 
 from helpers import make_scene
@@ -113,18 +114,16 @@ def test_snapshot_without_threat_copies_exactly():
         assert so.direction == o.direction
         assert so.important == o.important
         assert not so.estimated
-    for sd, d in zip(snap.drones, world.drones):
-        assert sd.position == d.position
-        assert sd.inbox == d.inbox
-        assert sd.graph == d.graph
+    assert snap.drones is world.drones
+    assert snap.weights is world.weights
 
 
 def test_snapshot_estimates_only_uncovered_objects():
     world = drifted_world()
     threat = CONDITIONS["II"]
-    cov = coverage_map(world, world.params.sensing_range)
-    uncovered = {oid for oid, drones in cov.items() if not drones}
-    assert uncovered and uncovered != set(cov)  # both kinds present
+    cov = coverage_map(world)
+    uncovered = {o.id for o, n in zip(world.objects, cov) if n == 0}
+    assert uncovered and len(uncovered) < len(cov)  # both kinds present
 
     snap = sense_snapshot(world, threat, derive_rng(5))
     for so, o in zip(snap.objects, world.objects):
@@ -163,7 +162,9 @@ def test_snapshot_noise_is_deterministic_per_stream():
     threat = CONDITIONS["II"]
     a = sense_snapshot(world, threat, derive_rng(9))
     b = sense_snapshot(world, threat, derive_rng(9))
-    assert a == b
+    assert (a.time, a.objects, a.drones) == (b.time, b.objects, b.drones)
+    assert any(o.estimated for o in a.objects)
+    assert np.array_equal(a.weights, b.weights)
 
 
 # ------------------------------------------------------------
@@ -191,32 +192,36 @@ def test_apply_update_replaces_shared_state():
         assert [o.important for o in updated.objects] == [o.important for o in physical.objects]
         assert [d.position for d in updated.drones] == [d.position for d in physical.drones]
         assert [d.inbox for d in updated.drones] == [d.inbox for d in physical.drones]
+        # new positions are sensed afresh
+        assert np.array_equal(updated.in_range, physical.in_range)
+        assert np.array_equal(updated.in_range, build_perceptions(
+            updated.drones, updated.objects, SMALL.sensing_range))
 
 
-def test_apply_update_strategy_update_copies_graphs():
+def test_apply_update_strategy_update_shares_physical_weights():
     physical, twin = paired_for_update()
+    assert physical.weights.any() and not np.array_equal(physical.weights, twin.weights)
     snap = sense_snapshot(physical, ThreatConfig(), derive_rng(0))
     updated = apply_update(twin, snap, "update")
-    for ud, pd in zip(updated.drones, physical.drones):
-        assert ud.graph == pd.graph
-        assert ud.graph is not pd.graph  # twin owns an independent copy
+    # read-only, so the twin can share the physical matrix instead of copying it
+    assert updated.weights is physical.weights
+    assert not updated.weights.flags.writeable
 
 
 def test_apply_update_strategy_keep_preserves_twin_graphs():
     physical, twin = paired_for_update()
     snap = sense_snapshot(physical, ThreatConfig(), derive_rng(0))
     updated = apply_update(twin, snap, "keep")
-    for ud, td in zip(updated.drones, twin.drones):
-        assert ud.graph is td.graph
+    assert updated.weights is twin.weights
 
 
 def test_apply_update_strategy_clear_zeroes_graphs():
     physical, twin = paired_for_update()
     snap = sense_snapshot(physical, ThreatConfig(), derive_rng(0))
     updated = apply_update(twin, snap, "clear")
-    roster = frozenset(d.id for d in twin.drones)
-    for ud in updated.drones:
-        assert ud.graph == KnowledgeGraph.empty(ud.id, roster)
+    assert updated.weights.shape == twin.weights.shape
+    assert not updated.weights.any()
+    assert not updated.weights.flags.writeable
 
 
 def test_apply_update_validates_inputs():
@@ -224,7 +229,7 @@ def test_apply_update_validates_inputs():
     snap = sense_snapshot(physical, ThreatConfig(), derive_rng(0))
     with pytest.raises(ValueError, match="strategy"):
         apply_update(twin, snap, "merge")
-    stale = Snapshot(snap.time + 5, snap.objects, snap.drones)
+    stale = Snapshot(snap.time + 5, snap.objects, snap.drones, snap.weights)
     with pytest.raises(ValueError, match="time"):
         apply_update(twin, stale, "update")
 
@@ -298,7 +303,7 @@ def test_run_paired_free_twin_matches_standalone_run():
     rngs = agent_streams(6, [d.id for d in twin.drones], walk_seed=5)
     oracle = []
     for _ in range(40):
-        oracle.append(utility_k(twin, SMALL.k, SMALL.sensing_range))
+        oracle.append(utility_k(twin, SMALL.k))
         twin, _ = step_world(twin, rngs)
     assert trace.u_twin == oracle
 
@@ -380,6 +385,26 @@ def test_run_paired_memory_cost_matches_method():
     assert action.memory_cost == 2 * 5
     action2 = run_paired(run_config(checker="action2", steps=10))
     assert 2 * 5 <= action2.memory_cost <= 2 * 5 * (1 + 2)
+
+
+def test_run_paired_action2_memory_cost_is_the_mean_of_step_costs():
+    # Oracle: replay both worlds without updates, price each step's action
+    # mix for both worlds, and average the list as the trace once did.
+    trace = run_paired(run_config(condition="I", checker="action2", theta=math.inf,
+                                  steps=40))
+    ids = [d.id for d in SMALL.drones]
+    physical, twin = SMALL.build_world(), SMALL.build_world()
+    phys_rngs = agent_streams(5, ids)
+    twin_rngs = agent_streams(6, ids, walk_seed=5)
+    prev_p, prev_t, costs = (), (), []
+    for _ in range(40):
+        costs.append(comparison_memory_cost(
+            "action2", 5, 8, k=SMALL.k,
+            step_kinds=([a.kind.value for a in prev_p], [a.kind.value for a in prev_t])))
+        physical, prev_p = step_world(physical, phys_rngs, bias_degrees=3.0)
+        twin, prev_t = step_world(twin, twin_rngs)
+    assert len(set(costs)) > 2
+    assert trace.memory_cost == sum(costs) / len(costs)
 
 
 def test_trace_rows_shape():

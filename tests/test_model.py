@@ -1,11 +1,10 @@
-"""Domain types: graphs, world construction, scene files and validation."""
+"""Domain types: world construction, fleet knowledge, scene files and validation."""
 
 import math
 
 import pytest
 
 from twinsync.model import (
-    KnowledgeGraph,
     Message,
     ObjectState,
     SceneDrone,
@@ -36,23 +35,18 @@ def test_vec2_distance():
 
 
 def test_knowledge_graph_missing_edge_reads_zero():
-    g = KnowledgeGraph(0, frozenset({0, 1, 2}), {1: 2.5})
-    assert g.weight(1) == 2.5
-    assert g.weight(2) == 0.0
-
-
-def test_knowledge_graph_copy_is_independent():
-    g = KnowledgeGraph(0, frozenset({0, 1}), {1: 1.0})
-    c = g.copy()
-    c.weights[1] = 99.0
-    assert g.weight(1) == 1.0
+    # an edge no pair has reinforced reads as weight 0
+    world = SCENE.build_world()
+    assert world.weights[0, 2] == 0.0 and world.weights[2, 0] == 0.0
 
 
 def test_knowledge_graph_empty():
-    g = KnowledgeGraph.empty(3, [1, 2, 3])
-    assert g.owner == 3
-    assert g.drones == frozenset({1, 2, 3})
-    assert g.weights == {}
+    world = SCENE.build_world()
+    assert world.weights.shape == (3, 3)
+    assert not world.weights.any()
+    assert not world.weights.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        world.weights[0, 1] = 1.0
 
 
 def test_build_world_sorts_entities_by_id():
@@ -70,8 +64,9 @@ def test_build_world_starts_fresh():
     assert world.time == 0
     for d in world.drones:
         assert d.inbox == ()
-        assert d.graph.weights == {}
-        assert d.graph.drones == frozenset({0, 1, 2})
+    assert world.weights.tolist() == [[0.0] * 3] * 3
+    # drone 0 at (1, 2) senses object 0 at (5, 5); nobody reaches object 1
+    assert world.in_range.tolist() == [[True, False], [True, False], [False, False]]
     obj = world.object(0)
     assert obj.position == Vec2(5.0, 5.0)
     assert obj.important is True

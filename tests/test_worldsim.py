@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twinsync.harness import agent_streams
-from twinsync.model import ActionKind, ObjectState, Vec2, WorldParams, WorldState
+from twinsync.model import ActionKind, ObjectState, Vec2
 from twinsync.worldsim import (
     clamp_point,
     coverage_map,
@@ -158,6 +158,8 @@ def test_toggle_importance_flips_on_period():
     world = world_of([(0, 1.0, 1.0)], [(0, 5.0, 5.0, 0.0, True), (1, 9.0, 9.0, 0.0, False)])
     flipped = toggle_importance(world, 30, 30)
     assert [o.important for o in flipped.objects] == [False, True]
+    # positions stay, so the sensing and the weights carry over unchanged
+    assert flipped.in_range is world.in_range and flipped.weights is world.weights
 
 
 def test_toggle_importance_leaves_other_steps_alone():
@@ -176,20 +178,16 @@ def test_coverage_map_boundary_inclusive():
     world = world_of(
         [(0, 0.0, 0.0), (1, 8.0, 0.0), (2, 40.0, 40.0)],
         [(0, 4.0, 3.0, 0.0, True), (1, 20.0, 20.0, 0.0, False)],
+        sensing_range=5.0,
     )
-    cov = coverage_map(world, 5.0)
-    assert cov[0] == {0, 1}  # both at exactly distance 5
-    assert cov[1] == frozenset()
+    assert world.in_range[:, 0].tolist() == [True, True, False]  # both at exactly 5
+    assert coverage_map(world).tolist() == [2, 0]
 
 
 def test_coverage_map_no_drones():
-    world = WorldState(
-        0,
-        (ObjectState(0, Vec2(5.0, 5.0), 0.0, True),),
-        (),
-        WorldParams(50.0, 50.0, 2, 10.0, 0.9, 1.0, 30),
-    )
-    assert coverage_map(world, 10.0) == {0: frozenset()}
+    world = world_of([], [(0, 5.0, 5.0, 0.0, True)])
+    assert world.in_range.shape == (0, 1)
+    assert coverage_map(world).tolist() == [0]
 
 
 def test_utility_counts_k_covered_fraction():
@@ -197,16 +195,16 @@ def test_utility_counts_k_covered_fraction():
     drones = [(i, float(i * 10), 0.0) for i in range(3)]
     drones += [(10 + i, float(i * 10), 1.0) for i in range(3)]
     objects = [(i, float(i * 10), 2.0, 0.0, True) for i in range(10)]
-    world = world_of(drones, objects)
-    assert utility_k(world, 2, 3.0) == pytest.approx(0.3)
-    assert utility_k(world, 1, 3.0) == pytest.approx(0.3)
-    assert utility_k(world, 3, 3.0) == 0.0
+    world = world_of(drones, objects, sensing_range=3.0)
+    assert utility_k(world, 2) == pytest.approx(0.3)
+    assert utility_k(world, 1) == pytest.approx(0.3)
+    assert utility_k(world, 3) == 0.0
 
 
 def test_utility_requires_objects():
-    world = WorldState(0, (), (), WorldParams(50.0, 50.0, 2, 10.0, 0.9, 1.0, 30))
+    world = world_of([], [])
     with pytest.raises(ValueError, match="no objects"):
-        utility_k(world, 2, 10.0)
+        utility_k(world, 2)
 
 
 # ------------------------------------------------------------
@@ -215,12 +213,7 @@ def test_utility_requires_objects():
 
 
 def test_step_world_without_drones_moves_objects_only():
-    world = WorldState(
-        0,
-        (ObjectState(0, Vec2(5.0, 5.0), 0.0, True),),
-        (),
-        WorldParams(50.0, 50.0, 2, 10.0, 0.9, 1.0, 30),
-    )
+    world = world_of([], [(0, 5.0, 5.0, 0.0, True)])
     stepped, actions = step_world(world, {})
     assert actions == ()
     assert stepped.time == 1
@@ -238,7 +231,9 @@ def test_step_world_is_pure_and_deterministic():
         w1, a1 = step_world(w1, r1)
         w2, a2 = step_world(w2, r2)
         assert a1 == a2
-    assert w1 == w2
+    assert (w1.time, w1.objects, w1.drones) == (w2.time, w2.objects, w2.drones)
+    assert np.array_equal(w1.weights, w2.weights)
+    assert np.array_equal(w1.in_range, w2.in_range)
 
 
 def test_step_world_counts_and_clock():
@@ -336,11 +331,12 @@ def test_step_world_evolves_pheromone_edges():
     world = scene.build_world()
     rngs = agent_streams(5, [0, 1])
     world, _ = step_world(world, rngs)
-    assert world.drone(0).graph.weight(1) == pytest.approx(1.0)
-    assert world.drone(1).graph.weight(0) == pytest.approx(1.0)
+    assert world.weights[0, 1] == pytest.approx(1.0)
+    assert world.weights[1, 0] == pytest.approx(1.0)
     world, _ = step_world(world, rngs)
-    w01 = world.drone(0).graph.weight(1)
+    w01 = world.weights[0, 1]
     assert w01 == pytest.approx(0.9 + 1.0)
+    assert not world.weights.flags.writeable
 
 
 def test_step_world_bias_only_affects_objects():
