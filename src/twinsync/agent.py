@@ -96,12 +96,15 @@ def select_notify_targets(
 def select_response(
     inbox: tuple[Message, ...], row: Sequence[float], ids: Sequence[int]
 ) -> Message | None:
-    """Choose which help request to honour: strongest edge, then newest, then lowest sender id."""
+    """Choose which help request to honour: strongest edge, then lowest sender id.
+
+    Every inbox holds one step's requests, so its messages share `sent_at`.
+    """
     if not inbox:
         return None
     return min(
         inbox,
-        key=lambda m: (-row[ids.index(m.sender_id)], -m.sent_at, m.sender_id),
+        key=lambda m: (-row[ids.index(m.sender_id)], m.sender_id),
     )
 
 

@@ -13,6 +13,18 @@ class SolutionPoint(NamedTuple):
     upd: float
 
 
+def left_sum(values: Iterable[float]) -> float:
+    """Add floats strictly left to right, starting from 0.0.
+
+    Builtin sum() compensates float rounding from Python 3.12 on, so its
+    last bits depend on the interpreter version; output CSVs must not.
+    """
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def avg_utility_deviation(u_physical: Sequence[float], u_twin: Sequence[float]) -> float:
     """Mean absolute gap between the two worlds' utility traces."""
     if len(u_physical) != len(u_twin):
@@ -21,7 +33,7 @@ def avg_utility_deviation(u_physical: Sequence[float], u_twin: Sequence[float]) 
         )
     if not u_physical:
         raise ValueError("utility traces are empty")
-    return sum(abs(a - b) for a, b in zip(u_physical, u_twin)) / len(u_physical)
+    return left_sum(abs(a - b) for a, b in zip(u_physical, u_twin)) / len(u_physical)
 
 
 def dominates(a: SolutionPoint, b: SolutionPoint) -> bool:

@@ -25,6 +25,7 @@ from pathlib import Path
 from .analysis import (
     SolutionPoint,
     hypervolume2d,
+    left_sum,
     normalize_solutions,
     pareto_front,
 )
@@ -260,7 +261,6 @@ def _run_config(args, scene: SceneSpec, name: str, checker: str, theta: float,
         strategy=args.strategy,
         bias_mode=args.bias_mode,
         signed_noise=args.signed_noise,
-        realtime=getattr(args, "realtime", 0.0),
     )
 
 
@@ -345,7 +345,7 @@ def _cmd_sweep(args) -> int:
             mean_rows.append((
                 members[0]["scene"], members[0]["condition"], checker, theta, n,
                 repr(sum(int(m["updates"]) for m in members) / n),
-                repr(sum(float(m["avg_utility_deviation"]) for m in members) / n),
+                repr(left_sum(float(m["avg_utility_deviation"]) for m in members) / n),
             ))
         _write_csv(args.means_out,
                    ("scene", "condition", "checker", "theta", "n",
@@ -403,6 +403,8 @@ def _read_solutions(path: str) -> list[dict]:
 
 
 def _cmd_pareto(args) -> int:
+    if not (math.isfinite(args.max_updates) and args.max_updates > 0):
+        raise UsageError(f"--max-updates must be finite and > 0, got {args.max_updates}")
     rows = _read_solutions(args.input)
     if args.scene is not None:
         rows = [r for r in rows if r["scene"] == args.scene]
@@ -421,7 +423,7 @@ def _cmd_pareto(args) -> int:
     baseline_rows = [r for r in rows if math.isinf(float(r["theta"]))]
     if not baseline_rows:
         raise UsageError("no theta=inf baseline rows; sweep must include theta inf")
-    baseline = sum(float(r["avg_utility_deviation"]) for r in baseline_rows) / len(
+    baseline = left_sum(float(r["avg_utility_deviation"]) for r in baseline_rows) / len(
         baseline_rows
     )
     if baseline <= 0:
@@ -491,8 +493,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="equivalence checker (default: state)")
     p.add_argument("--theta", type=float, default=math.inf,
                    help="window-sum threshold; inf never updates, -1 forces updates")
-    p.add_argument("--realtime", type=float, default=0.0,
-                   help="demo pacing in seconds per step (default: 0, off)")
     p.add_argument("--trace", default="trace.csv", help="trace CSV path")
     p.add_argument("--summary", default="summary.csv", help="summary CSV path")
     p.set_defaults(func=_cmd_run)

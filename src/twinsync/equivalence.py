@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from .analysis import left_sum
 from .model import ActionKind, ActionRecord, WorldState
 
 # ============================================================
@@ -127,49 +126,12 @@ def mean_fine_action_deviation(
         raise ValueError("action records cover different drone id sets")
     if not a:
         return 0.0
-    return sum(fine_action_deviation(a[i], b[i], k) for i in a) / len(a)
+    return left_sum(fine_action_deviation(a[i], b[i], k) for i in a) / len(a)
 
 
 # ============================================================
 # Windowed checking
 # ============================================================
-
-
-class HistoryEntry(NamedTuple):
-    t: int
-    physical: object
-    twin: object
-
-
-class CheckerHistory:
-    """Ring buffer of per-step comparison payloads for both worlds.
-
-    Keeps the window + 1 most recent entries, which is exactly what a
-    window-sum over [t - window, t] needs. Payloads are recorded at sensing
-    time and never rewritten. `restart` drops every entry, which is how a
-    resync starts a fresh window: the replaced twin's drift must not count
-    against the twin that took its place.
-    """
-
-    def __init__(self, window: int):
-        if window < 0:
-            raise ValueError(f"window must be >= 0, got {window}")
-        self.window = window
-        self._entries: deque[HistoryEntry] = deque(maxlen=window + 1)
-
-    def append(self, t: int, physical: object, twin: object) -> None:
-        if self._entries and t <= self._entries[-1].t:
-            raise ValueError("history timestamps must be strictly increasing")
-        self._entries.append(HistoryEntry(t, physical, twin))
-
-    def restart(self) -> None:
-        self._entries.clear()
-
-    def window_entries(self, t: int, window: int) -> list[HistoryEntry]:
-        return [e for e in self._entries if t - window <= e.t <= t]
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
 
 class CheckOutcome(NamedTuple):
@@ -178,18 +140,19 @@ class CheckOutcome(NamedTuple):
 
 
 def windowed_check(
-    history: CheckerHistory,
+    values: Sequence[float],
     t: int,
     q: int,
     l: int,
     threshold: float,
-    metric: Callable[[object, object], float],
+    since: int,
 ) -> CheckOutcome:
-    """Accumulate the metric over steps [max(0, t-l), t] and compare to the threshold.
+    """Sum the per-step metric values over steps [max(since, t-l), t] and compare.
 
-    Only steps still in the history count: after a `restart` (a resync) the
-    window begins again at the first step recorded after it, just as it
-    begins at step 0 at the start of a run.
+    `values[i]` is step i's metric value. `since` is the first step of the
+    current twin: 0 at the start of a run, and the step after the last resync,
+    so the replaced twin's drift never counts against the one that took its
+    place. The sum runs left to right from 0.0.
 
     Runs only when t is a multiple of the checking interval q. The trigger is
     strict (sum > threshold): +inf never fires, -1 always fires since the
@@ -201,9 +164,7 @@ def windowed_check(
         raise ValueError(f"window length must be >= 1, got {l}")
     if t % q != 0:
         return CheckOutcome(False, None)
-    total = 0.0
-    for entry in history.window_entries(t, l):
-        total += metric(entry.physical, entry.twin)
+    total = left_sum(values[max(since, t - l):t + 1])
     return CheckOutcome(total > threshold, total)
 
 
@@ -211,42 +172,18 @@ def windowed_check(
 # Checker registry
 # ============================================================
 
-
-@dataclass(frozen=True)
-class Checker:
-    """A named way to compare the paired worlds.
-
-    `payload` extracts what gets recorded each step (from the world or from
-    the last transition's actions); `metric` scores a physical/twin payload
-    pair, using k only for the fine-grained action comparison.
-    """
-
-    name: str
-    payload: Callable[[WorldState, tuple[ActionRecord, ...]], object]
-    metric: Callable[[object, object, int], float]
-
+# Each checker scores one paired step from both worlds and the actions that
+# produced them: (physical, twin, actions_physical, actions_twin, k) -> float.
+# k matters only to the fine-grained action comparison.
+Checker = Callable[
+    [WorldState, WorldState, Sequence[ActionRecord], Sequence[ActionRecord], int], float
+]
 
 CHECKERS: dict[str, Checker] = {
-    "state": Checker(
-        "state",
-        lambda world, actions: state_vector(world),
-        lambda p, t, k: state_deviation(p, t),
-    ),
-    "knowledge": Checker(
-        "knowledge",
-        lambda world, actions: knowledge_vector(world),
-        lambda p, t, k: drift(p, t),
-    ),
-    "action": Checker(
-        "action",
-        lambda world, actions: tuple(actions),
-        lambda p, t, k: coarse_action_deviation(p, t),
-    ),
-    "action2": Checker(
-        "action2",
-        lambda world, actions: tuple(actions),
-        lambda p, t, k: mean_fine_action_deviation(p, t, k),
-    ),
+    "state": lambda p, t, ap, at, k: state_deviation(state_vector(p), state_vector(t)),
+    "knowledge": lambda p, t, ap, at, k: drift(knowledge_vector(p), knowledge_vector(t)),
+    "action": lambda p, t, ap, at, k: coarse_action_deviation(ap, at),
+    "action2": lambda p, t, ap, at, k: mean_fine_action_deviation(ap, at, k),
 }
 
 CHECKER_NAMES = tuple(CHECKERS)

@@ -5,14 +5,13 @@ from __future__ import annotations
 import copy
 import math
 import statistics
-import time as _time
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .analysis import avg_utility_deviation, comparison_memory_cost
-from .equivalence import CheckerHistory, get_checker, windowed_check
+from .analysis import avg_utility_deviation, comparison_memory_cost, left_sum
+from .equivalence import get_checker, windowed_check
 from .model import (
     DroneState,
     ObjectState,
@@ -206,7 +205,6 @@ class TwinRunConfig:
     strategy: str = "update"
     bias_mode: str = "accumulate"
     signed_noise: bool = False
-    realtime: float = 0.0  # demo pacing, seconds per step; 0 disables
 
 
 @dataclass
@@ -246,11 +244,11 @@ class Trace:
 def run_paired(config: TwinRunConfig) -> Trace:
     """Run physical and twin worlds in lockstep with checker-triggered updates.
 
-    Each step: record comparison payloads, run the windowed check on the
-    q-grid, resync the twin on a trigger, measure both utilities, then
-    advance both worlds. A resync restarts the check window, so later checks
-    sum only steps after it; the trace's metric values keep the pre-update
-    divergence of every step.
+    Each step: record the checker's metric value, run the windowed check
+    over the recorded values on the q-grid, resync the twin on a trigger,
+    measure both utilities, then advance both worlds. A resync restarts the
+    check window, so later checks sum only steps after it; the trace's metric
+    values keep the pre-update divergence of every step.
     Utilities come last so u' describes the twin the step hands onward: a
     resynced twin scores as resynced. Only the physical world sees the
     heading bias; only the twin agents' choice draws come from a different
@@ -283,20 +281,16 @@ def run_paired(config: TwinRunConfig) -> Trace:
         twin_rngs = agent_streams(config.seed, ids)
     noise_rng = derive_rng(config.seed, STREAM_NOISE)
 
-    def metric(p: object, t: object) -> float:
-        return checker.metric(p, t, k)
-
-    history = CheckerHistory(config.l)
     trace = Trace(config)
+    since = 0  # first step of the current twin's check window
     prev_actions_phys: tuple = ()
     prev_actions_twin: tuple = ()
     action2_cost = 0.0  # running sum of the per-step action2 costs
 
     for t in range(config.steps):
-        payload_phys = checker.payload(physical, prev_actions_phys)
-        payload_twin = checker.payload(twin, prev_actions_twin)
-        history.append(t, payload_phys, payload_twin)
-        trace.metric_values.append(metric(payload_phys, payload_twin))
+        trace.metric_values.append(
+            checker(physical, twin, prev_actions_phys, prev_actions_twin, k)
+        )
         if config.checker == "action2":
             action2_cost += comparison_memory_cost(
                 "action2", m, n_obj, k=k,
@@ -304,15 +298,17 @@ def run_paired(config: TwinRunConfig) -> Trace:
                             [a.kind.value for a in prev_actions_twin]),
             )
 
-        outcome = windowed_check(history, t, config.q, config.l, config.theta, metric)
+        outcome = windowed_check(
+            trace.metric_values, t, config.q, config.l, config.theta, since
+        )
         if outcome.triggered:
             snapshot = sense_snapshot(physical, threat, noise_rng, config.signed_noise)
             twin = apply_update(twin, snapshot, config.strategy)
-            history.restart()
+            since = t + 1
             trace.update_steps.append(t)
         trace.updated.append(outcome.triggered)
 
-        # Utilities describe the tick as the manager leaves it: payloads and
+        # Utilities describe the tick as the manager leaves it: the metric and
         # the window are read from the pre-update twin, but the recorded u'
         # reflects any re-init applied this tick.
         trace.u_physical.append(utility_k(physical, k))
@@ -325,8 +321,6 @@ def run_paired(config: TwinRunConfig) -> Trace:
             bias_mode=config.bias_mode,
         )
         twin, prev_actions_twin = step_world(twin, twin_rngs)
-        if config.realtime > 0:
-            _time.sleep(config.realtime)
 
     if config.checker == "action2":
         trace.memory_cost = action2_cost / config.steps
@@ -431,6 +425,10 @@ def run_strategy_study(config: StrategyStudyConfig) -> StrategyStudyResult:
         raise ValueError(f"unknown condition {config.condition!r}")
     if config.samples < 1 or config.repeats < 1:
         raise ValueError("samples and repeats must be >= 1")
+    if config.accumulation < 0:
+        raise ValueError(f"accumulation must be >= 0, got {config.accumulation}")
+    if config.evaluation < 1:
+        raise ValueError(f"evaluation must be >= 1, got {config.evaluation}")
     if not (0 <= config.start_min <= config.start_max):
         raise ValueError("need 0 <= start_min <= start_max")
     last_needed = config.start_max + config.accumulation + config.evaluation
@@ -504,6 +502,6 @@ def run_strategy_study(config: StrategyStudyConfig) -> StrategyStudyResult:
                     gaps.append(
                         abs(u_phys[update_at + step] - utility_k(branch, k))
                     )
-                deviations[strategy].append(sum(gaps) / len(gaps))
+                deviations[strategy].append(left_sum(gaps) / len(gaps))
 
     return StrategyStudyResult(config, start_times, deviations)

@@ -22,9 +22,6 @@ class Vec2(NamedTuple):
     x: float
     y: float
 
-    def distance_to(self, other: Vec2) -> float:
-        return math.hypot(self.x - other.x, self.y - other.y)
-
 
 class Message(NamedTuple):
     """A help request advertising one object; delivered the step after sending."""
@@ -111,18 +108,6 @@ class WorldState:
     params: WorldParams
     weights: np.ndarray
     in_range: np.ndarray
-
-    def drone(self, drone_id: int) -> DroneState:
-        for d in self.drones:
-            if d.id == drone_id:
-                return d
-        raise ValueError(f"unknown drone id {drone_id}")
-
-    def object(self, object_id: int) -> ObjectState:
-        for o in self.objects:
-            if o.id == object_id:
-                return o
-        raise ValueError(f"unknown object id {object_id}")
 
 
 # ============================================================
@@ -294,15 +279,12 @@ def validate_scene(scene: SceneSpec) -> list[str]:
     return bad
 
 
-def load_scene(path: str | Path, strict: bool = True) -> SceneSpec:
-    """Read and decode a scene file; `strict` also validates it."""
+def load_scene(path: str | Path) -> SceneSpec:
+    """Read, decode and validate a scene file."""
     scene = decode_scene(Path(path).read_text())
-    if strict:
-        violations = validate_scene(scene)
-        if violations:
-            raise ValueError(
-                f"invalid scene {path}: " + "; ".join(violations)
-            )
+    violations = validate_scene(scene)
+    if violations:
+        raise ValueError(f"invalid scene {path}: " + "; ".join(violations))
     return scene
 
 

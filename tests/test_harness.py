@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from twinsync.equivalence import state_vector, state_deviation
+import twinsync.harness as harness
+from twinsync.equivalence import state_vector, state_deviation, windowed_check
 from twinsync.harness import (
     CONDITIONS,
     STRATEGIES,
@@ -354,6 +355,32 @@ def test_run_paired_window_sums_only_steps_since_the_last_resync():
             since = t + 1
     assert trace.updated == expected
     assert 0 < trace.updates < trace.steps
+
+
+@pytest.mark.parametrize("l", [1, 3, 10])
+@pytest.mark.parametrize("q", [1, 5])
+def test_run_paired_update_window_sums_the_trace_since_the_last_resync(
+        monkeypatch, q, l):
+    checks = {}
+
+    def recording(values, t, *args):
+        checks[t] = windowed_check(values, t, *args)
+        return checks[t]
+
+    monkeypatch.setattr(harness, "windowed_check", recording)
+    theta = 1.5
+    trace = run_paired(run_config(condition="I", checker="state", theta=theta,
+                                  q=q, l=l, steps=100))
+    assert trace.updates > 0
+    assert trace.update_steps == [t for t, c in checks.items() if c.triggered]
+    since = 0
+    for t in trace.update_steps:
+        total = 0.0
+        for v in trace.metric_values[max(since, t - l):t + 1]:
+            total += v
+        assert checks[t].value == total
+        assert total > theta
+        since = t + 1
 
 
 def test_run_paired_checker_grid_and_window():

@@ -285,7 +285,7 @@ def test_step_world_delivers_messages_next_step():
     world, actions = step_world(world, rngs)
     assert actions[0].kind is ActionKind.NOTIFY_AND_FOLLOW
     assert actions[0].notified_drones == {1}
-    inbox = world.drone(1).inbox
+    inbox = world.drones[1].inbox
     assert len(inbox) == 1
     # sentAt is the step before delivery
     assert inbox[0] == (0, 0, Vec2(1.0, 0.0), world.time - 1)
@@ -294,7 +294,7 @@ def test_step_world_delivers_messages_next_step():
     assert actions2[1].kind is ActionKind.RESPOND_AND_FOLLOW
     assert actions2[1].responded_to == 0
     # the old message expired; the re-notification replaced it
-    inbox2 = world2.drone(1).inbox
+    inbox2 = world2.drones[1].inbox
     assert [m.sent_at for m in inbox2] == [1]
 
 
@@ -302,24 +302,25 @@ def test_step_world_responder_moves_toward_advertised_position():
     world = notify_scene().build_world()
     rngs = agent_streams(1, [0, 1])
     world, _ = step_world(world, rngs)
-    before = world.drone(1).position
+    before = world.drones[1].position
     world, actions = step_world(world, rngs)
-    after = world.drone(1).position
+    after = world.drones[1].position
     assert actions[1].kind is ActionKind.RESPOND_AND_FOLLOW
-    moved = before.distance_to(after)
+    moved = math.hypot(after.x - before.x, after.y - before.y)
     assert moved == pytest.approx(2.0)
     # strictly closer to the advertised object position (1, 0)
-    assert after.distance_to(Vec2(1.0, 0.0)) < before.distance_to(Vec2(1.0, 0.0))
+    assert math.hypot(after.x - 1.0, after.y) < math.hypot(before.x - 1.0, before.y)
 
 
 def test_step_world_random_walk_budget():
     scene = make_scene(drones=[(0, 25.0, 25.0)], objects=[(0, 5.0, 5.0, 0.0, False)])
     world = scene.build_world()
     rngs = agent_streams(2, [0])
-    before = world.drone(0).position
+    before = world.drones[0].position
     world, actions = step_world(world, rngs)
     assert actions[0].kind is ActionKind.RANDOM_WALK
-    assert before.distance_to(world.drone(0).position) == pytest.approx(5.0)
+    after = world.drones[0].position
+    assert math.hypot(after.x - before.x, after.y - before.y) == pytest.approx(5.0)
 
 
 def test_step_world_evolves_pheromone_edges():
