@@ -2,61 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .model import (
-    ActionKind,
-    ActionRecord,
-    DroneState,
-    Message,
-    ObjectState,
-    Vec2,
-    read_only,
-)
-
-
-class AgentStreams(NamedTuple):
-    """One drone's private randomness, split by what it feeds.
-
-    `choice` drives which important object gets picked; `walk` drives the
-    wander angle. Keeping the channels separate lets a paired twin diverge
-    on choices while still sampling the same movement noise.
-    """
-
-    choice: np.random.Generator
-    walk: np.random.Generator
-
-
-class AgentDraws(NamedTuple):
-    """The two uniforms a drone consumes each step, one per channel.
-
-    The stepper draws both every step for every drone whether or not they
-    end up used, so lockstep worlds stay draw-aligned across branch and
-    update differences.
-    """
-
-    choice: float
-    walk: float
-
-
-@dataclass(frozen=True)
-class Decision:
-    """One drone's chosen move and side effects for the current step.
-
-    Exactly one of move_target / move_angle is set; move_angle is the
-    random-walk heading in degrees. `outgoing` pairs each message with its
-    recipient drone id.
-    """
-
-    action: ActionRecord
-    move_target: Vec2 | None
-    move_angle: float | None
-    move_distance: float
-    outgoing: tuple[tuple[int, Message], ...] = ()
-
+from .model import ActionKind, ActionRecord, Request, WorldState, read_only
 
 # Movement budget per action kind, in world units per step.
 FOLLOW_DISTANCE = 1.0
@@ -65,118 +15,77 @@ RANDOM_WALK_DISTANCE = 5.0
 
 
 def build_perceptions(
-    drones: Sequence[DroneState], objects: Sequence[ObjectState], sensing_range: float
-) -> np.ndarray:
-    """Sense one set of positions for the whole fleet: the (m, n) in-range matrix.
+    drone_x: Sequence[float],
+    drone_y: Sequence[float],
+    object_x: Sequence[float],
+    object_y: Sequence[float],
+    sensing_range: float,
+) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Sense one set of positions for the whole fleet.
 
-    Entry (i, j) is True when drone i has object j within sensing range, the
-    boundary included. Each world state is sensed once: `step_world` hands
-    the moved world's matrix on, and only new positions are sensed afresh.
+    Returns the read-only (m, n) in-range matrix, whose entry (i, j) is True
+    when drone i has object j within sensing range, the boundary included,
+    and each object's count of drones in range. Each world state is sensed
+    once: `step_world` hands the moved world's sensing on, and only new
+    positions are sensed afresh.
     """
-    dpos = np.array([c for d in drones for c in d.position], dtype=float).reshape(-1, 2)
-    opos = np.array([c for o in objects for c in o.position], dtype=float).reshape(-1, 2)
-    diff = dpos[:, None, :] - opos[None, :, :]
-    return read_only(np.hypot(diff[:, :, 0], diff[:, :, 1]) <= sensing_range)
+    dx = np.array(drone_x, dtype=float)[:, None] - np.array(object_x, dtype=float)
+    dy = np.array(drone_y, dtype=float)[:, None] - np.array(object_y, dtype=float)
+    in_range = read_only(np.hypot(dx, dy) <= sensing_range)
+    return in_range, tuple(in_range.sum(axis=0).tolist())
 
 
-def select_notify_targets(
-    row: Sequence[float], ids: Sequence[int], self_id: int, k: int
-) -> frozenset[int]:
-    """Pick the k-1 strongest-edge drones to ask for help, ties by ascending id.
+def select_notify_targets(row: Sequence[float], me: int, k: int) -> list[int]:
+    """Pick the k-1 strongest-edge drones to ask for help, ties by ascending index.
 
-    `row` is the asker's weight row, aligned with the ascending roster `ids`.
+    `row` is the asker's weight row and `me` its index, both in drone order.
     Zero-weight drones are eligible; with fewer than k-1 others, all of them
     are picked.
     """
-    others = [j for j, d in enumerate(ids) if d != self_id]
-    others.sort(key=lambda j: -row[j])  # stable: id order breaks ties
-    return frozenset(ids[j] for j in others[: max(0, k - 1)])
+    others = [j for j in range(len(row)) if j != me]
+    others.sort(key=lambda j: -row[j])  # stable: drone order breaks ties
+    return others[: max(0, k - 1)]
 
 
-def select_response(
-    inbox: tuple[Message, ...], row: Sequence[float], ids: Sequence[int]
-) -> Message | None:
-    """Choose which help request to honour: strongest edge, then lowest sender id.
-
-    Every inbox holds one step's requests, so its messages share `sent_at`.
-    """
+def select_response(inbox: Sequence[Request], row: Sequence[float]) -> Request | None:
+    """Choose which help request to honour: strongest edge, then lowest sender."""
     if not inbox:
         return None
-    return min(
-        inbox,
-        key=lambda m: (-row[ids.index(m.sender_id)], m.sender_id),
-    )
+    return min(inbox, key=lambda r: (-row[r[0]], r[0]))
 
 
 def decide(
-    drone: DroneState,
-    time: int,
-    sensed: Sequence[tuple[ObjectState, int]],
-    row: Sequence[float],
-    ids: Sequence[int],
-    draws: AgentDraws,
-    k: int,
-) -> Decision:
-    """Select this step's action.
+    world: WorldState, i: int, sensed: Sequence[int], choice: float
+) -> tuple[ActionRecord, tuple[float, float, float] | None, list[int]]:
+    """Select drone i's action for this step.
 
-    `sensed` pairs each important object in range, in ascending id order,
-    with how many other drones cover it; `row` is this drone's weight row,
-    aligned with the ascending roster `ids`. Priority: important object in
-    range (notify if not locally k-covered, else follow), then answering a
-    help request, then a random walk. Pure in its inputs: all randomness
-    arrives pre-drawn in `draws`.
+    `sensed` lists the important objects drone i has in range, by ascending
+    object index. Priority: an important object in range (notify if it is
+    not k-covered, else follow), then answering a help request, then a
+    random walk. The pick among sensed objects is the `choice` uniform scaled
+    to their count. Returns the action, the point to head for with its
+    movement budget as (x, y, budget), or None for a random walk, and the
+    indices of the drones that get a help request.
     """
-    me = drone.id
+    ids = world.drone_ids
     if sensed:
-        # sensed is id-sorted, so the draw is order-independent
-        obj, covering_others = sensed[int(draws.choice * len(sensed))]
-        if covering_others < k - 1:
-            targets = select_notify_targets(row, ids, me, k)
-            msg = Message(me, obj.id, obj.position, time)
-            action = ActionRecord(
-                me,
-                ActionKind.NOTIFY_AND_FOLLOW,
-                followed_object=obj.id,
-                notified_drones=targets,
-            )
-            return Decision(
-                action,
-                move_target=obj.position,
-                move_angle=None,
-                move_distance=FOLLOW_DISTANCE,
-                outgoing=tuple((t, msg) for t in sorted(targets)),
-            )
-        action = ActionRecord(me, ActionKind.FOLLOW, followed_object=obj.id)
-        return Decision(
-            action,
-            move_target=obj.position,
-            move_angle=None,
-            move_distance=FOLLOW_DISTANCE,
-        )
+        j = sensed[int(choice * len(sensed))]  # sensed is ordered: order-independent pick
+        target = (world.object_x[j], world.object_y[j], FOLLOW_DISTANCE)
+        if world.coverage[j] < world.params.k:  # drone i counts itself
+            notify = select_notify_targets(world.weights[i].tolist(), i, world.params.k)
+            notified = frozenset(ids[n] for n in notify)
+            action = ActionRecord(ids[i], ActionKind.NOTIFY_AND_FOLLOW,
+                                  world.object_ids[j], notified)
+            return action, target, notify
+        return ActionRecord(ids[i], ActionKind.FOLLOW, world.object_ids[j]), target, []
 
-    request = select_response(drone.inbox, row, ids)
+    request = select_response(world.inbox[i], world.weights[i].tolist())
     if request is not None:
-        action = ActionRecord(
-            me,
-            ActionKind.RESPOND_AND_FOLLOW,
-            followed_object=request.object_id,
-            responded_to=request.sender_id,
-        )
-        return Decision(
-            action,
-            move_target=request.object_position,
-            move_angle=None,
-            move_distance=RESPOND_DISTANCE,
-        )
-
-    angle = draws.walk * 360.0
-    action = ActionRecord(me, ActionKind.RANDOM_WALK)
-    return Decision(
-        action,
-        move_target=None,
-        move_angle=angle,
-        move_distance=RANDOM_WALK_DISTANCE,
-    )
+        sender, object_id, x, y = request
+        action = ActionRecord(ids[i], ActionKind.RESPOND_AND_FOLLOW, object_id,
+                              frozenset(), ids[sender])
+        return action, (x, y, RESPOND_DISTANCE), []
+    return ActionRecord(ids[i], ActionKind.RANDOM_WALK), None, []
 
 
 def evolve_knowledge(

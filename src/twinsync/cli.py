@@ -19,6 +19,7 @@ import csv
 import math
 import os
 import sys
+from dataclasses import replace
 from multiprocessing import Pool
 from pathlib import Path
 
@@ -47,6 +48,7 @@ from .model import (
     SceneObject,
     SceneSpec,
     load_scene,
+    parameter_violations,
     save_scene,
     validate_scene,
 )
@@ -81,10 +83,16 @@ def generate_scene(
 
     Object headings are drawn from the four axis directions and importance
     is a fair coin. Draw order (drones first, then objects, coordinates
-    before attributes) is part of the determinism contract.
+    before attributes) is part of the determinism contract. Parameters are
+    checked before anything is drawn, and every bad one is named.
     """
+    params = SceneSpec(width, height, k, sensing_range, gamma, delta,
+                       importance_period, drones=(), objects=())
+    bad = parameter_violations(params)
     if n_drones < 1 or n_objects < 1:
-        raise ValueError("need at least one drone and one object")
+        bad.insert(0, "need at least one drone and one object")
+    if bad:
+        raise ValueError("; ".join(bad))
     rng = derive_rng(seed, STREAM_SCENE)
     drones = tuple(
         SceneDrone(i, float(rng.uniform(0.0, width)), float(rng.uniform(0.0, height)))
@@ -100,17 +108,7 @@ def generate_scene(
         )
         for i in range(n_objects)
     )
-    return SceneSpec(
-        width=width,
-        height=height,
-        k=k,
-        sensing_range=sensing_range,
-        gamma=gamma,
-        delta=delta,
-        importance_period=importance_period,
-        drones=drones,
-        objects=objects,
-    )
+    return replace(params, drones=drones, objects=objects)
 
 
 # ============================================================

@@ -20,20 +20,19 @@ def knowledge_vector(world: WorldState) -> np.ndarray:
     The weight matrix is symmetric by construction, so its upper triangle,
     read in row order, holds each edge once.
     """
-    order = np.arange(len(world.drones))
+    order = np.arange(len(world.drone_ids))
     return world.weights[order[:, None] < order]
 
 
 def state_vector(world: WorldState) -> np.ndarray:
-    """Concatenate object coordinates then drone coordinates, ascending ids."""
-    coords: list[float] = []
-    for o in sorted(world.objects, key=lambda o: o.id):
-        coords.append(o.position.x)
-        coords.append(o.position.y)
-    for d in sorted(world.drones, key=lambda d: d.id):
-        coords.append(d.position.x)
-        coords.append(d.position.y)
-    return np.asarray(coords, dtype=float)
+    """Concatenate object coordinates then drone coordinates, x then y, ascending ids."""
+    n = len(world.object_ids)
+    coords = np.empty(2 * (n + len(world.drone_ids)))
+    coords[0:2 * n:2] = world.object_x
+    coords[1:2 * n:2] = world.object_y
+    coords[2 * n::2] = world.drone_x
+    coords[2 * n + 1::2] = world.drone_y
+    return coords
 
 
 def _euclidean(a: np.ndarray, b: np.ndarray, what: str) -> float:
@@ -59,25 +58,23 @@ def state_deviation(s_physical: np.ndarray, s_twin: np.ndarray) -> float:
 # ============================================================
 
 
-def _by_drone(records: Sequence[ActionRecord]) -> dict[int, ActionRecord]:
-    out = {r.drone_id: r for r in records}
-    if len(out) != len(records):
-        raise ValueError("duplicate drone id in action records")
-    return out
+def _aligned(physical: Sequence[ActionRecord], twin: Sequence[ActionRecord]):
+    """Pair the worlds' records drone by drone; both come in drone order."""
+    if len(physical) != len(twin) or any(
+        a.drone_id != b.drone_id for a, b in zip(physical, twin)
+    ):
+        raise ValueError("action records cover different drone id sequences")
+    return zip(physical, twin)
 
 
 def coarse_action_deviation(
     physical: Sequence[ActionRecord], twin: Sequence[ActionRecord]
 ) -> float:
     """Fraction of drones whose action kind differs between the worlds."""
-    a = _by_drone(physical)
-    b = _by_drone(twin)
-    if a.keys() != b.keys():
-        raise ValueError("action records cover different drone id sets")
-    if not a:
+    pairs = _aligned(physical, twin)
+    if not physical:
         return 0.0
-    mismatched = sum(1 for i in a if a[i].kind is not b[i].kind)
-    return mismatched / len(a)
+    return sum(1 for a, b in pairs if a.kind is not b.kind) / len(physical)
 
 
 def fine_action_deviation(physical: ActionRecord, twin: ActionRecord, k: int) -> float:
@@ -120,13 +117,10 @@ def mean_fine_action_deviation(
     physical: Sequence[ActionRecord], twin: Sequence[ActionRecord], k: int
 ) -> float:
     """Average fine-grained deviation across the swarm."""
-    a = _by_drone(physical)
-    b = _by_drone(twin)
-    if a.keys() != b.keys():
-        raise ValueError("action records cover different drone id sets")
-    if not a:
+    pairs = _aligned(physical, twin)
+    if not physical:
         return 0.0
-    return left_sum(fine_action_deviation(a[i], b[i], k) for i in a) / len(a)
+    return left_sum(fine_action_deviation(a, b, k) for a, b in pairs) / len(physical)
 
 
 # ============================================================

@@ -2,26 +2,18 @@
 
 from __future__ import annotations
 
-import copy
 import math
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .analysis import avg_utility_deviation, comparison_memory_cost, left_sum
 from .equivalence import get_checker, windowed_check
-from .model import (
-    DroneState,
-    ObjectState,
-    SceneSpec,
-    Vec2,
-    WorldState,
-    read_only,
-)
-from .agent import AgentStreams, build_perceptions
-from .worldsim import clamp_point, coverage_map, step_world, utility_k
+from .model import SceneSpec, WorldState, read_only
+from .agent import build_perceptions
+from .worldsim import BIAS_MODES, clamp_point, coverage_map, step_world, utility_k
 
 # ============================================================
 # Randomness plumbing
@@ -49,21 +41,26 @@ def agent_streams(
     drone_ids: Iterable[int],
     salt: tuple[int, ...] = (),
     walk_seed: int | None = None,
-) -> dict[int, AgentStreams]:
-    """Private choice and walk streams per drone.
+    *,
+    steps: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pre-drawn choice and walk tapes, each a (steps, m) float64 array.
 
-    `walk_seed` defaults to `seed`; passing a different value keys only the
-    choice channel to `seed`, which is how a twin diverges on object picks
-    while sampling the same movement noise as its physical counterpart.
+    Column c of a tape holds the first `steps` uniforms of drone
+    `drone_ids[c]`'s private stream for that channel, so row t is what the
+    fleet draws at its t-th step. `walk_seed` defaults to `seed`; passing a
+    different value keys only the choice channel to `seed`, which is how a
+    twin diverges on object picks while sampling the same movement noise as
+    its physical counterpart.
     """
     wseed = seed if walk_seed is None else walk_seed
-    return {
-        i: AgentStreams(
-            derive_rng(seed, STREAM_AGENT, *salt, i, CHANNEL_CHOICE),
-            derive_rng(wseed, STREAM_AGENT, *salt, i, CHANNEL_WALK),
-        )
-        for i in drone_ids
-    }
+    ids = list(drone_ids)
+    choice = np.empty((steps, len(ids)))
+    walk = np.empty((steps, len(ids)))
+    for c, i in enumerate(ids):
+        choice[:, c] = derive_rng(seed, STREAM_AGENT, *salt, i, CHANNEL_CHOICE).random(steps)
+        walk[:, c] = derive_rng(wseed, STREAM_AGENT, *salt, i, CHANNEL_WALK).random(steps)
+    return choice, walk
 
 
 # ============================================================
@@ -93,27 +90,20 @@ CONDITIONS: dict[str, ThreatConfig] = {
 # ============================================================
 
 
-@dataclass(frozen=True)
-class SnapshotObject:
-    id: int
-    position: Vec2
-    direction: float
-    important: bool
-    estimated: bool  # position is a noisy estimate, not a measurement
-
-
 @dataclass(frozen=True, eq=False)
 class Snapshot:
     """What the physical side reports when the twin asks for a resync.
 
-    Drones and the weight matrix are reported exactly, so the snapshot
-    shares them with the physical world instead of copying them.
+    Everything but object positions is reported exactly, so the snapshot
+    shares the physical world instead of copying it. `object_x`/`object_y`
+    are the reported positions, and `estimated[j]` is True where object j's
+    position is a noisy estimate, not a measurement.
     """
 
-    time: int
-    objects: tuple[SnapshotObject, ...]
-    drones: tuple[DroneState, ...]
-    weights: np.ndarray
+    physical: WorldState
+    object_x: tuple[float, ...]
+    object_y: tuple[float, ...]
+    estimated: tuple[bool, ...]
 
 
 def sense_snapshot(
@@ -126,29 +116,24 @@ def sense_snapshot(
 
     Under a sensor-limited threat, objects nobody currently covers get their
     position estimated with per-coordinate noise (U[0, e] by default,
-    U[-e, e] when signed), clamped into bounds and flagged. Directions,
-    importance, inboxes, and edge weights are reported exactly.
+    U[-e, e] when signed), drawn x then y in object order, clamped into
+    bounds and flagged. Directions, importance, inboxes, and edge weights
+    are reported exactly.
     """
-    uncovered: set[int] = set()
-    if threat.sensor_limited:
-        cov = coverage_map(physical).tolist()
-        uncovered = {o.id for o, n in zip(physical.objects, cov) if n == 0}
-
-    objects = []
-    for o in physical.objects:
-        pos = o.position
-        estimated = False
-        if o.id in uncovered:
-            e = threat.estimation_error_max
-            lo = -e if signed_noise else 0.0
-            pos = clamp_point(
-                Vec2(pos.x + rng.uniform(lo, e), pos.y + rng.uniform(lo, e)),
-                physical.params.bounds,
-            )
-            estimated = True
-        objects.append(SnapshotObject(o.id, pos, o.direction, o.important, estimated))
-
-    return Snapshot(physical.time, tuple(objects), physical.drones, physical.weights)
+    if not threat.sensor_limited:
+        exact = (False,) * len(physical.object_ids)
+        return Snapshot(physical, physical.object_x, physical.object_y, exact)
+    e = threat.estimation_error_max
+    lo = -e if signed_noise else 0.0
+    bounds = physical.params.bounds
+    object_x, object_y, estimated = [], [], []
+    for x, y, count in zip(physical.object_x, physical.object_y, coverage_map(physical)):
+        if count == 0:
+            x, y = clamp_point(x + rng.uniform(lo, e), y + rng.uniform(lo, e), bounds)
+        object_x.append(x)
+        object_y.append(y)
+        estimated.append(count == 0)
+    return Snapshot(physical, tuple(object_x), tuple(object_y), tuple(estimated))
 
 
 STRATEGIES = ("update", "keep", "clear")
@@ -158,29 +143,33 @@ def apply_update(twin: WorldState, snapshot: Snapshot, strategy: str) -> WorldSt
     """Overwrite the twin from a snapshot.
 
     All strategies replace positions, directions, importance flags, and
-    inboxes, and sense the new positions afresh. They differ on the weight
-    matrix: "update" takes the snapshot's, "keep" leaves the twin's own in
-    place (both shared, not copied), "clear" zeroes every edge. Agent rng
-    streams are never touched.
+    inboxes, and take the sensing of the reported positions. They differ on
+    the weight matrix: "update" takes the snapshot's, "keep" leaves the
+    twin's own in place (both shared, not copied), "clear" zeroes every edge.
+    Agent draw tapes are never touched.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown update strategy {strategy!r}")
-    if snapshot.time != twin.time:
+    physical = snapshot.physical
+    if physical.time != twin.time:
         raise ValueError(
-            f"snapshot time {snapshot.time} does not match twin time {twin.time}"
+            f"snapshot time {physical.time} does not match twin time {twin.time}"
         )
-    objects = tuple(
-        ObjectState(o.id, o.position, o.direction, o.important)
-        for o in snapshot.objects
-    )
     if strategy == "update":
-        weights = snapshot.weights
+        weights = physical.weights
     elif strategy == "keep":
         weights = twin.weights
     else:
         weights = read_only(np.zeros_like(twin.weights))
-    in_range = build_perceptions(snapshot.drones, objects, twin.params.sensing_range)
-    return WorldState(twin.time, objects, snapshot.drones, twin.params, weights, in_range)
+    if any(snapshot.estimated):
+        in_range, coverage = build_perceptions(
+            physical.drone_x, physical.drone_y, snapshot.object_x, snapshot.object_y,
+            twin.params.sensing_range)
+    else:  # the physical positions, already sensed
+        in_range, coverage = physical.in_range, physical.coverage
+    return replace(physical, object_x=snapshot.object_x, object_y=snapshot.object_y,
+                   params=twin.params, weights=weights, in_range=in_range,
+                   coverage=coverage)
 
 
 # ============================================================
@@ -241,6 +230,11 @@ class Trace:
             )
 
 
+def _check_bias_mode(bias_mode: str) -> None:
+    if bias_mode not in BIAS_MODES:
+        raise ValueError(f"unknown bias mode {bias_mode!r}")
+
+
 def run_paired(config: TwinRunConfig) -> Trace:
     """Run physical and twin worlds in lockstep with checker-triggered updates.
 
@@ -262,23 +256,25 @@ def run_paired(config: TwinRunConfig) -> Trace:
         raise ValueError(f"unknown update strategy {config.strategy!r}")
     if config.steps < 1:
         raise ValueError(f"steps must be >= 1, got {config.steps}")
+    _check_bias_mode(config.bias_mode)
 
     physical = config.scene.build_world()
     twin = config.scene.build_world()
     k = physical.params.k
     if config.checker == "action2" and k < 2:
         raise ValueError("checker action2 needs k >= 2")
-    m, n_obj = len(physical.drones), len(physical.objects)
+    m, n_obj = len(physical.drone_ids), len(physical.object_ids)
 
-    ids = [d.id for d in physical.drones]
-    phys_rngs = agent_streams(config.seed, ids)
+    ids = physical.drone_ids
+    phys_choice, phys_walk = agent_streams(config.seed, ids, steps=config.steps)
     if threat.divergent_seeds:
         twin_base = config.twin_seed if config.twin_seed is not None else config.seed + 1
         # Only the choice channel diverges; walks stay on the shared seed so
         # a freshly re-synced twin keeps sampling the same wander angles.
-        twin_rngs = agent_streams(twin_base, ids, walk_seed=config.seed)
+        twin_choice, twin_walk = agent_streams(
+            twin_base, ids, walk_seed=config.seed, steps=config.steps)
     else:
-        twin_rngs = agent_streams(config.seed, ids)
+        twin_choice, twin_walk = phys_choice, phys_walk
     noise_rng = derive_rng(config.seed, STREAM_NOISE)
 
     trace = Trace(config)
@@ -316,11 +312,13 @@ def run_paired(config: TwinRunConfig) -> Trace:
 
         physical, prev_actions_phys = step_world(
             physical,
-            phys_rngs,
+            phys_choice[t].tolist(),
+            phys_walk[t].tolist(),
             bias_degrees=threat.bias_degrees,
             bias_mode=config.bias_mode,
         )
-        twin, prev_actions_twin = step_world(twin, twin_rngs)
+        twin, prev_actions_twin = step_world(
+            twin, twin_choice[t].tolist(), twin_walk[t].tolist())
 
     if config.checker == "action2":
         trace.memory_cost = action2_cost / config.steps
@@ -412,13 +410,14 @@ class StrategyStudyResult:
 def run_strategy_study(config: StrategyStudyConfig) -> StrategyStudyResult:
     """Compare the three update strategies on identical drift episodes.
 
-    Per repeat, one physical trajectory runs to the horizon. At each sampled
-    start the twin is cloned from the physical world with exact stream
-    copies (under seed divergence its choice channel is re-keyed to the
-    divergent seed), drifts for the accumulation phase, receives one shared
-    snapshot through each strategy in turn, and is scored on mean |u - u'|
-    over the evaluation phase. Every strategy sees identical worlds,
-    streams, and snapshot bytes at the branch point.
+    Per repeat, one physical trajectory runs to the last evaluated step. At
+    each sampled start the twin is cloned from the physical world and reads
+    the physical draw tapes on from the clone's row (under seed divergence
+    its choice channel reads the divergent seed's tape from row 0), drifts
+    for the accumulation phase, receives one shared snapshot through each
+    strategy in turn, and is scored on mean |u - u'| over the evaluation
+    phase. Every strategy sees identical worlds, draws, and snapshot bytes
+    at the branch point.
     """
     threat = CONDITIONS.get(config.condition)
     if threat is None:
@@ -429,10 +428,12 @@ def run_strategy_study(config: StrategyStudyConfig) -> StrategyStudyResult:
         raise ValueError(f"accumulation must be >= 0, got {config.accumulation}")
     if config.evaluation < 1:
         raise ValueError(f"evaluation must be >= 1, got {config.evaluation}")
+    _check_bias_mode(config.bias_mode)
     if not (0 <= config.start_min <= config.start_max):
         raise ValueError("need 0 <= start_min <= start_max")
-    last_needed = config.start_max + config.accumulation + config.evaluation
-    if last_needed > config.horizon:
+    branch_steps = config.accumulation + config.evaluation
+    run_to = config.start_max + branch_steps
+    if run_to > config.horizon:
         raise ValueError(
             f"start_max {config.start_max} + phases {config.accumulation}+"
             f"{config.evaluation} overruns the horizon {config.horizon}"
@@ -449,45 +450,43 @@ def run_strategy_study(config: StrategyStudyConfig) -> StrategyStudyResult:
     snapshot_points = {s + config.accumulation for s in start_times}
 
     k = config.scene.k
-    ids = [d.id for d in config.scene.drones]
     deviations: dict[str, list[float]] = {s: [] for s in STRATEGIES}
 
     for rep in range(config.repeats):
         physical = config.scene.build_world()
-        phys_rngs = agent_streams(config.seed, ids, salt=(rep,))
+        ids = physical.drone_ids
+        choice, walk = agent_streams(config.seed, ids, salt=(rep,), steps=run_to)
+        if threat.divergent_seeds:
+            # every clone's choice channel restarts on the divergent seed
+            divergent = agent_streams(config.seed + 1, ids, salt=(rep,),
+                                      steps=branch_steps)[0]
         noise_rng = derive_rng(config.seed, STREAM_NOISE, rep)
 
         u_phys = [utility_k(physical, k)]
         worlds: dict[int, WorldState] = {}
-        stream_copies: dict[int, dict[int, AgentStreams]] = {}
         if 0 in clone_points:
             worlds[0] = physical
-            stream_copies[0] = copy.deepcopy(phys_rngs)
-        run_to = config.start_max + config.accumulation + config.evaluation
         for t in range(1, run_to + 1):
             physical, _ = step_world(
                 physical,
-                phys_rngs,
+                choice[t - 1].tolist(),
+                walk[t - 1].tolist(),
                 bias_degrees=threat.bias_degrees,
                 bias_mode=config.bias_mode,
             )
             u_phys.append(utility_k(physical, k))
             if t in clone_points or t in snapshot_points:
                 worlds[t] = physical
-                if t in clone_points:
-                    stream_copies[t] = copy.deepcopy(phys_rngs)
 
         for start in start_times:
+            # A clone at `start` continues the physical tapes from row `start`;
+            # a divergent choice channel reads its own tape from row 0.
+            twin_choice = divergent if threat.divergent_seeds else \
+                choice[start:start + branch_steps]
+            draws = list(zip(twin_choice.tolist(), walk[start:start + branch_steps].tolist()))
             twin = worlds[start]  # world states are immutable, sharing is safe
-            twin_rngs = copy.deepcopy(stream_copies[start])
-            if threat.divergent_seeds:
-                divergent = agent_streams(config.seed + 1, ids, salt=(rep,))
-                twin_rngs = {
-                    i: AgentStreams(divergent[i].choice, twin_rngs[i].walk)
-                    for i in ids
-                }
-            for _ in range(config.accumulation):
-                twin, _ = step_world(twin, twin_rngs)
+            for c, w in draws[:config.accumulation]:
+                twin, _ = step_world(twin, c, w)
 
             update_at = start + config.accumulation
             snapshot = sense_snapshot(
@@ -495,10 +494,9 @@ def run_strategy_study(config: StrategyStudyConfig) -> StrategyStudyResult:
             )
             for strategy in STRATEGIES:
                 branch = apply_update(twin, snapshot, strategy)
-                branch_rngs = copy.deepcopy(twin_rngs)
                 gaps = []
-                for step in range(1, config.evaluation + 1):
-                    branch, _ = step_world(branch, branch_rngs)
+                for step, (c, w) in enumerate(draws[config.accumulation:], start=1):
+                    branch, _ = step_world(branch, c, w)
                     gaps.append(
                         abs(u_phys[update_at + step] - utility_k(branch, k))
                     )

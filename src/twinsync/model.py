@@ -12,24 +12,8 @@ from typing import NamedTuple
 import numpy as np
 
 # ============================================================
-# Geometry and messaging primitives
+# Actions
 # ============================================================
-
-
-class Vec2(NamedTuple):
-    """A point or displacement in world coordinates."""
-
-    x: float
-    y: float
-
-
-class Message(NamedTuple):
-    """A help request advertising one object; delivered the step after sending."""
-
-    sender_id: int
-    object_id: int
-    object_position: Vec2
-    sent_at: int
 
 
 class ActionKind(str, Enum):
@@ -39,8 +23,7 @@ class ActionKind(str, Enum):
     RANDOM_WALK = "random_walk"
 
 
-@dataclass(frozen=True)
-class ActionRecord:
+class ActionRecord(NamedTuple):
     """What one drone did in one step, in categorised form."""
 
     drone_id: int
@@ -53,21 +36,6 @@ class ActionRecord:
 # ============================================================
 # World state
 # ============================================================
-
-
-@dataclass(frozen=True)
-class ObjectState:
-    id: int
-    position: Vec2
-    direction: float  # degrees; multiples of 90 at scene load, arbitrary after bounces
-    important: bool
-
-
-@dataclass(frozen=True)
-class DroneState:
-    id: int
-    position: Vec2
-    inbox: tuple[Message, ...]
 
 
 @dataclass(frozen=True)
@@ -91,23 +59,43 @@ def read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-@dataclass(frozen=True, eq=False)
+# A help request as its recipient holds it: (sender index, object id, x, y),
+# the advertised object's position when it was sent. Requests arrive the step
+# after sending and expire one step later.
+Request = tuple[int, int, float, float]
+
+
+@dataclass(frozen=True, eq=False, slots=True)
 class WorldState:
-    """Full simulation state at one instant. Entity tuples are id-sorted.
+    """Full simulation state at one instant, as flat per-entity columns.
+
+    Object columns (`object_ids`, `object_x`, `object_y`, `object_dir` in
+    degrees, `important`) and drone columns (`drone_ids`, `drone_x`,
+    `drone_y`, `inbox`) are tuples of Python scalars in ascending id order;
+    `inbox[i]` holds drone i's requests in sender order.
 
     `weights` is the fleet's interaction knowledge: one read-only, symmetric
     (m, m) matrix of pheromone edge weights, rows and columns in drone order,
     zero on the diagonal. `in_range` is the read-only (m, n) sensing of these
-    positions: entry (i, j) is True when drone i has object j in range. World
-    states that agree on either array share it rather than copy it.
+    positions: entry (i, j) is True when drone i has object j in range, and
+    `coverage[j]` counts the drones that have object j in range. World states
+    that agree on any of these share them rather than copy them.
     """
 
     time: int
-    objects: tuple[ObjectState, ...]
-    drones: tuple[DroneState, ...]
+    object_ids: tuple[int, ...]
+    object_x: tuple[float, ...]
+    object_y: tuple[float, ...]
+    object_dir: tuple[float, ...]
+    important: tuple[bool, ...]
+    drone_ids: tuple[int, ...]
+    drone_x: tuple[float, ...]
+    drone_y: tuple[float, ...]
+    inbox: tuple[tuple[Request, ...], ...]
     params: WorldParams
     weights: np.ndarray
     in_range: np.ndarray
+    coverage: tuple[int, ...]
 
 
 # ============================================================
@@ -152,6 +140,9 @@ class SceneSpec:
         """Instantiate the t=0 world: empty inboxes, all edge weights zero."""
         from .agent import build_perceptions  # agent imports this module
 
+        if self.importance_period < 1:
+            raise ValueError(
+                f"importance period must be >= 1, got {self.importance_period}")
         params = WorldParams(
             width=self.width,
             height=self.height,
@@ -161,17 +152,30 @@ class SceneSpec:
             delta=self.delta,
             importance_period=self.importance_period,
         )
-        drones = tuple(
-            DroneState(d.id, Vec2(d.x, d.y), ())
-            for d in sorted(self.drones, key=lambda d: d.id)
+        drones = sorted(self.drones, key=lambda d: d.id)
+        objects = sorted(self.objects, key=lambda o: o.id)
+        drone_x = tuple(float(d.x) for d in drones)
+        drone_y = tuple(float(d.y) for d in drones)
+        object_x = tuple(float(o.x) for o in objects)
+        object_y = tuple(float(o.y) for o in objects)
+        in_range, coverage = build_perceptions(
+            drone_x, drone_y, object_x, object_y, self.sensing_range)
+        return WorldState(
+            time=0,
+            object_ids=tuple(o.id for o in objects),
+            object_x=object_x,
+            object_y=object_y,
+            object_dir=tuple(float(o.direction) for o in objects),
+            important=tuple(bool(o.important) for o in objects),
+            drone_ids=tuple(d.id for d in drones),
+            drone_x=drone_x,
+            drone_y=drone_y,
+            inbox=((),) * len(drones),
+            params=params,
+            weights=read_only(np.zeros((len(drones), len(drones)))),
+            in_range=in_range,
+            coverage=coverage,
         )
-        objects = tuple(
-            ObjectState(o.id, Vec2(o.x, o.y), float(o.direction), bool(o.important))
-            for o in sorted(self.objects, key=lambda o: o.id)
-        )
-        weights = read_only(np.zeros((len(drones), len(drones))))
-        in_range = build_perceptions(drones, objects, self.sensing_range)
-        return WorldState(0, objects, drones, params, weights, in_range)
 
 
 def scene_to_dict(scene: SceneSpec) -> dict:
@@ -197,33 +201,69 @@ def scene_to_dict(scene: SceneSpec) -> dict:
     }
 
 
+# JSON types a scene field may hold, by the name error messages give them.
+# bool is not a number here, and a float is not an integer.
+_JSON_TYPES = {
+    "a number": (int, float),
+    "an integer": (int,),
+    "true or false": (bool,),
+    "a list": (list,),
+    "an object": (dict,),
+}
+
+
+def _checked(value, path: str, kind: str):
+    if type(value) not in _JSON_TYPES[kind]:
+        raise ValueError(f"malformed scene data: {path} must be {kind}, got {value!r}")
+    return float(value) if kind == "a number" else value
+
+
+def _field(obj: dict, key: str, prefix: str, kind: str):
+    path = f"{prefix}.{key}" if prefix else key
+    if key not in obj:
+        raise ValueError(f"malformed scene data: missing field {path}")
+    return _checked(obj[key], path, kind)
+
+
+def _entries(data: dict, key: str) -> list[tuple[dict, str]]:
+    """The objects of a list field, each with its path, like `drones[0]`."""
+    return [(_checked(entry, f"{key}[{i}]", "an object"), f"{key}[{i}]")
+            for i, entry in enumerate(_field(data, key, "", "a list"))]
+
+
 def scene_from_dict(data: dict) -> SceneSpec:
-    try:
-        return SceneSpec(
-            width=float(data["width"]),
-            height=float(data["height"]),
-            k=int(data["k"]),
-            sensing_range=float(data["range"]),
-            gamma=float(data["gamma"]),
-            delta=float(data["delta"]),
-            importance_period=int(data["importance_period"]),
-            drones=tuple(
-                SceneDrone(int(d["id"]), float(d["x"]), float(d["y"]))
-                for d in data["drones"]
-            ),
-            objects=tuple(
-                SceneObject(
-                    int(o["id"]),
-                    float(o["x"]),
-                    float(o["y"]),
-                    float(o["direction"]),
-                    bool(o["important"]),
-                )
-                for o in data["objects"]
-            ),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed scene data: {exc}") from exc
+    """Decode parsed scene JSON without coercing any value's type.
+
+    Numbers must be JSON numbers, `k`, `importance_period` and ids JSON
+    integers, and `important` a JSON bool. Anything else raises ValueError
+    naming the field's path, such as `objects[0].important`.
+    """
+    _checked(data, "scene", "an object")
+    number = "a number"
+    return SceneSpec(
+        width=_field(data, "width", "", number),
+        height=_field(data, "height", "", number),
+        k=_field(data, "k", "", "an integer"),
+        sensing_range=_field(data, "range", "", number),
+        gamma=_field(data, "gamma", "", number),
+        delta=_field(data, "delta", "", number),
+        importance_period=_field(data, "importance_period", "", "an integer"),
+        drones=tuple(
+            SceneDrone(_field(d, "id", p, "an integer"), _field(d, "x", p, number),
+                       _field(d, "y", p, number))
+            for d, p in _entries(data, "drones")
+        ),
+        objects=tuple(
+            SceneObject(
+                _field(o, "id", p, "an integer"),
+                _field(o, "x", p, number),
+                _field(o, "y", p, number),
+                _field(o, "direction", p, number),
+                _field(o, "important", p, "true or false"),
+            )
+            for o, p in _entries(data, "objects")
+        ),
+    )
 
 
 def encode_scene(scene: SceneSpec) -> str:
@@ -234,11 +274,8 @@ def decode_scene(text: str) -> SceneSpec:
     return scene_from_dict(json.loads(text))
 
 
-def validate_scene(scene: SceneSpec) -> list[str]:
-    """Return a list of violation messages; empty means the scene is valid.
-
-    Every violation names the offending entity or parameter.
-    """
+def parameter_violations(scene: SceneSpec) -> list[str]:
+    """Violations among the world parameters alone, each naming its field."""
     bad: list[str] = []
     if not (scene.width > 0 and math.isfinite(scene.width)):
         bad.append(f"width must be positive and finite, got {scene.width}")
@@ -254,7 +291,15 @@ def validate_scene(scene: SceneSpec) -> list[str]:
         bad.append(f"delta must be positive and finite, got {scene.delta}")
     if scene.importance_period < 1:
         bad.append(f"importance_period must be >= 1, got {scene.importance_period}")
+    return bad
 
+
+def validate_scene(scene: SceneSpec) -> list[str]:
+    """Return a list of violation messages; empty means the scene is valid.
+
+    Every violation names the offending entity or parameter.
+    """
+    bad = parameter_violations(scene)
     if not scene.drones:
         bad.append("scene has no drones")
     if not scene.objects:

@@ -3,41 +3,36 @@
 from __future__ import annotations
 
 import math
-from dataclasses import replace
-from typing import Mapping
+from typing import Sequence
 
-import numpy as np
-
-from .agent import AgentDraws, AgentStreams, build_perceptions, decide, evolve_knowledge
-from .model import (
-    ActionRecord,
-    DroneState,
-    Message,
-    ObjectState,
-    Vec2,
-    WorldState,
-)
+from .agent import RANDOM_WALK_DISTANCE, build_perceptions, decide, evolve_knowledge
+from .model import ActionRecord, Request, WorldState
 
 OBJECT_SPEED = 1.0  # units per step
 
 BIAS_MODES = ("accumulate", "fixed")
 
 
-def clamp_point(p: Vec2, bounds: tuple[float, float]) -> Vec2:
-    return Vec2(min(max(p.x, 0.0), bounds[0]), min(max(p.y, 0.0), bounds[1]))
+def clamp_point(x: float, y: float, bounds: tuple[float, float]) -> tuple[float, float]:
+    return min(max(x, 0.0), bounds[0]), min(max(y, 0.0), bounds[1])
 
 
 def move_point_toward(
-    origin: Vec2, target: Vec2, distance: float, bounds: tuple[float, float]
-) -> Vec2:
-    """Move from origin straight at target, at most `distance`, clamped to bounds."""
-    dx = target.x - origin.x
-    dy = target.y - origin.y
+    x: float, y: float, tx: float, ty: float, distance: float,
+    bounds: tuple[float, float],
+) -> tuple[float, float]:
+    """Move from (x, y) straight at (tx, ty), at most `distance`, clamped to bounds.
+
+    `math.hypot` measures the gap: numpy's hypot differs from it in the
+    last bits.
+    """
+    dx = tx - x
+    dy = ty - y
     gap = math.hypot(dx, dy)
     if gap <= distance:
-        return clamp_point(target, bounds)
+        return clamp_point(tx, ty, bounds)
     frac = distance / gap
-    return clamp_point(Vec2(origin.x + dx * frac, origin.y + dy * frac), bounds)
+    return clamp_point(x + dx * frac, y + dy * frac, bounds)
 
 
 def _flip_heading(direction: float, flip_x: bool, flip_y: bool) -> float:
@@ -50,25 +45,25 @@ def _flip_heading(direction: float, flip_x: bool, flip_y: bool) -> float:
 
 
 def move_object(
-    obj: ObjectState,
+    x: float,
+    y: float,
+    direction: float,
     bias_degrees: float,
     bounds: tuple[float, float],
-    bias_mode: str = "accumulate",
-) -> ObjectState:
+    accumulate: bool = True,
+) -> tuple[float, float, float]:
     """Advance one object by one step of unit speed, bouncing off walls.
 
-    The movement heading is the stored direction rotated by `bias_degrees`.
-    In "accumulate" mode the rotated heading is stored back, so a constant
-    bias compounds step over step; in "fixed" mode the stored direction only
-    changes when a wall reflects it.
+    Returns the new (x, y, direction). The movement heading is the stored
+    direction rotated by `bias_degrees`. With `accumulate` the rotated
+    heading is stored back, so a constant bias compounds step over step;
+    otherwise the stored direction only changes when a wall reflects it.
     """
-    if bias_mode not in BIAS_MODES:
-        raise ValueError(f"unknown bias mode {bias_mode!r}")
     width, height = bounds
-    heading = obj.direction + bias_degrees
+    heading = direction + bias_degrees
     rad = math.radians(heading)
-    x = obj.position.x + OBJECT_SPEED * math.cos(rad)
-    y = obj.position.y + OBJECT_SPEED * math.sin(rad)
+    x += OBJECT_SPEED * math.cos(rad)
+    y += OBJECT_SPEED * math.sin(rad)
 
     flip_x = False
     while x < 0.0 or x > width:
@@ -79,38 +74,33 @@ def move_object(
         y = -y if y < 0.0 else 2.0 * height - y
         flip_y = not flip_y
 
-    base = heading if bias_mode == "accumulate" else obj.direction
-    return ObjectState(obj.id, Vec2(x, y), _flip_heading(base, flip_x, flip_y), obj.important)
+    base = heading if accumulate else direction
+    return x, y, _flip_heading(base, flip_x, flip_y)
 
 
-def toggle_importance(world: WorldState, t: int, period: int) -> WorldState:
-    """Invert every object's importance flag when t is a positive multiple of period."""
-    if period < 1:
-        raise ValueError(f"importance period must be >= 1, got {period}")
+def toggle_importance(important: tuple[bool, ...], t: int, period: int) -> tuple[bool, ...]:
+    """Invert every importance flag when t is a positive multiple of period."""
     if t <= 0 or t % period != 0:
-        return world
-    objects = tuple(
-        ObjectState(o.id, o.position, o.direction, not o.important)
-        for o in world.objects
-    )
-    return replace(world, objects=objects)
+        return important
+    return tuple(not flag for flag in important)
 
 
-def coverage_map(world: WorldState) -> np.ndarray:
+def coverage_map(world: WorldState) -> tuple[int, ...]:
     """How many drones cover each object, in object order, from the world's sensing."""
-    return world.in_range.sum(axis=0)
+    return world.coverage
 
 
 def utility_k(world: WorldState, k: int) -> float:
     """Fraction of all objects covered by at least k drones."""
-    if not world.objects:
+    if not world.object_ids:
         raise ValueError("utility undefined for a world with no objects")
-    return int(np.count_nonzero(coverage_map(world) >= k)) / len(world.objects)
+    return sum(1 for count in coverage_map(world) if count >= k) / len(world.object_ids)
 
 
 def step_world(
     world: WorldState,
-    rngs: Mapping[int, AgentStreams],
+    choice: Sequence[float],
+    walk: Sequence[float],
     bias_degrees: float = 0.0,
     bias_mode: str = "accumulate",
 ) -> tuple[WorldState, tuple[ActionRecord, ...]]:
@@ -123,57 +113,68 @@ def step_world(
     from its co-coverage, so the weights an outside observer reads always
     describe the same configuration as the positions. Evolving knowledge
     moves nothing, so that sensing is handed to the returned world, where the
-    next step decides on it. Each drone draws one uniform from each of its
-    two channels every step, used or not, so two worlds stepped in lockstep
-    stay draw-aligned no matter how their branches differ.
+    next step decides on it.
+
+    `choice` and `walk` hold this step's uniform from each drone's two
+    channels, in drone order: the pick among sensed objects and the random
+    walk heading. Every drone gets both, used or not, so two worlds stepped
+    in lockstep stay draw-aligned no matter how their branches differ.
+    `bias_mode` is "accumulate" or "fixed" (see `move_object`); callers
+    validate it once per run.
     """
     params = world.params
     bounds = params.bounds
-    objects = world.objects
-    ids = tuple(d.id for d in world.drones)
+    important = world.important
 
-    covering_others = (coverage_map(world) - 1).tolist()
-    sensed: list[list[tuple[ObjectState, int]]] = [[] for _ in ids]
-    rows, cols = world.in_range.nonzero()  # row-major: ascending object id per drone
+    sensed: list[list[int]] = [[] for _ in world.drone_ids]
+    rows, cols = world.in_range.nonzero()  # row-major: ascending object index per drone
     for i, j in zip(rows.tolist(), cols.tolist()):
-        if objects[j].important:
-            sensed[i].append((objects[j], covering_others[j]))
+        if important[j]:
+            sensed[i].append(j)
 
-    decisions = []
-    for i, d in enumerate(world.drones):
-        streams = rngs[d.id]
-        draws = AgentDraws(float(streams.choice.random()), float(streams.walk.random()))
-        decisions.append(
-            decide(d, world.time, sensed[i], world.weights[i], ids, draws, params.k)
-        )
-    actions = tuple(dec.action for dec in decisions)
-
-    deliveries: dict[int, list[Message]] = {}
-    for dec in decisions:
-        for recipient, msg in dec.outgoing:
-            deliveries.setdefault(recipient, []).append(msg)
-
-    new_drones = []
-    for d, dec in zip(world.drones, decisions):
-        if dec.move_target is not None:
-            pos = move_point_toward(d.position, dec.move_target, dec.move_distance, bounds)
+    actions = []
+    inbox: list[list[Request]] = [[] for _ in world.drone_ids]
+    drone_x, drone_y = [], []
+    for i, (x, y) in enumerate(zip(world.drone_x, world.drone_y)):
+        action, target, notify = decide(world, i, sensed[i], choice[i])
+        actions.append(action)
+        if target is None:
+            rad = math.radians(walk[i] * 360.0)
+            x, y = clamp_point(x + RANDOM_WALK_DISTANCE * math.cos(rad),
+                               y + RANDOM_WALK_DISTANCE * math.sin(rad), bounds)
         else:
-            rad = math.radians(dec.move_angle)
-            pos = clamp_point(
-                Vec2(
-                    d.position.x + dec.move_distance * math.cos(rad),
-                    d.position.y + dec.move_distance * math.sin(rad),
-                ),
-                bounds,
-            )
-        new_drones.append(DroneState(d.id, pos, tuple(deliveries.get(d.id, ()))))
+            tx, ty, budget = target
+            for recipient in notify:
+                inbox[recipient].append((i, action.followed_object, tx, ty))
+            x, y = move_point_toward(x, y, tx, ty, budget, bounds)
+        drone_x.append(x)
+        drone_y.append(y)
 
-    new_objects = tuple(
-        move_object(o, bias_degrees, bounds, bias_mode) for o in objects
-    )
-    in_range = build_perceptions(new_drones, new_objects, params.sensing_range)
-    weights = evolve_knowledge(world.weights, in_range, params.gamma, params.delta)
+    accumulate = bias_mode == "accumulate"
+    object_x, object_y, object_dir = [], [], []
+    for x, y, direction in zip(world.object_x, world.object_y, world.object_dir):
+        x, y, direction = move_object(x, y, direction, bias_degrees, bounds, accumulate)
+        object_x.append(x)
+        object_y.append(y)
+        object_dir.append(direction)
+
+    time = world.time + 1
+    in_range, coverage = build_perceptions(
+        drone_x, drone_y, object_x, object_y, params.sensing_range)
     stepped = WorldState(
-        world.time + 1, new_objects, tuple(new_drones), params, weights, in_range
+        time=time,
+        object_ids=world.object_ids,
+        object_x=tuple(object_x),
+        object_y=tuple(object_y),
+        object_dir=tuple(object_dir),
+        important=toggle_importance(important, time, params.importance_period),
+        drone_ids=world.drone_ids,
+        drone_x=tuple(drone_x),
+        drone_y=tuple(drone_y),
+        inbox=tuple(map(tuple, inbox)),
+        params=params,
+        weights=evolve_knowledge(world.weights, in_range, params.gamma, params.delta),
+        in_range=in_range,
+        coverage=coverage,
     )
-    return toggle_importance(stepped, stepped.time, params.importance_period), actions
+    return stepped, tuple(actions)

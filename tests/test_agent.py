@@ -1,5 +1,6 @@
 """Agent behaviour: sensing, the action-selection branches, pheromone evolution."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,9 +10,7 @@ from hypothesis import strategies as st
 
 from twinsync.agent import (
     FOLLOW_DISTANCE,
-    RANDOM_WALK_DISTANCE,
     RESPOND_DISTANCE,
-    AgentDraws,
     build_perceptions,
     decide,
     evolve_knowledge,
@@ -20,7 +19,7 @@ from twinsync.agent import (
 )
 from twinsync.equivalence import knowledge_vector
 from twinsync.harness import agent_streams
-from twinsync.model import ActionKind, DroneState, Message, ObjectState, Vec2
+from twinsync.model import ActionKind, read_only
 from twinsync.worldsim import coverage_map, step_world
 
 from helpers import (
@@ -31,14 +30,6 @@ from helpers import (
 )
 
 
-def drone_of(drone_id=0, inbox=()):
-    return DroneState(drone_id, Vec2(0.0, 0.0), tuple(inbox))
-
-
-def important(oid, x, y):
-    return ObjectState(oid, Vec2(x, y), 0.0, True)
-
-
 def weights_of(m, edges=None):
     """Symmetric (m, m) weights from {(i, j): w}, rows in drone order."""
     w = np.zeros((m, m))
@@ -47,7 +38,17 @@ def weights_of(m, edges=None):
     return w
 
 
-IDS = (0, 1, 2)
+def sense(world, sensing_range=10.0):
+    return build_perceptions(world.drone_x, world.drone_y, world.object_x, world.object_y,
+                             sensing_range)
+
+
+def first_step(world, seed):
+    """The actions of one step on the first row of the seed's tapes."""
+    choice, walk = agent_streams(seed, world.drone_ids, steps=1)
+    return step_world(world, choice[0].tolist(), walk[0].tolist())[1]
+
+
 ZERO_ROW = (0.0, 0.0, 0.0)
 
 
@@ -64,7 +65,9 @@ def test_build_perceptions_includes_boundary_distance():
     world = scene.build_world()
     # hypot(6,8)=10 sits exactly on the range; hypot(7,8)=sqrt(113)>10
     assert math.hypot(7.0, 8.0) == pytest.approx(10.63014581273465)
-    assert build_perceptions(world.drones, world.objects, 10.0).tolist() == [[True, False]]
+    in_range, coverage = sense(world)
+    assert in_range.tolist() == [[True, False]]
+    assert coverage == (1, 0)
 
 
 def test_coverage_counts_report_shared_objects():
@@ -74,7 +77,7 @@ def test_coverage_counts_report_shared_objects():
     )
     world = scene.build_world()
     assert world.in_range.tolist() == [[True], [True], [False]]
-    assert coverage_map(world).tolist() == [2]
+    assert coverage_map(world) == (2,)
 
 
 def test_build_perceptions_matches_single_queries():
@@ -83,15 +86,16 @@ def test_build_perceptions_matches_single_queries():
         objects=[(0, 3.0, 3.0, 0.0, True), (1, 22.0, 20.0, 90.0, False)],
     )
     world = scene.build_world()
-    batch = build_perceptions(world.drones, world.objects, 10.0)
+    batch, coverage = sense(world)
     assert batch.shape == (3, 2)
     assert not batch.flags.writeable
-    for i, d in enumerate(world.drones):
-        for j, o in enumerate(world.objects):
-            gap = (d.position.x - o.position.x, d.position.y - o.position.y)
-            assert batch[i, j] == (math.hypot(*gap) <= 10.0)
+    for i, (dx, dy) in enumerate(zip(world.drone_x, world.drone_y)):
+        for j, (ox, oy) in enumerate(zip(world.object_x, world.object_y)):
+            assert batch[i, j] == (math.hypot(dx - ox, dy - oy) <= 10.0)
+    assert coverage == tuple(batch.sum(axis=0).tolist())
     # build_world senses its positions once, with the scene's range
     assert np.array_equal(world.in_range, batch)
+    assert world.coverage == coverage
 
 
 @given(st.integers(0, 2**31 - 1))
@@ -106,12 +110,11 @@ def test_perception_objects_within_range_property(seed):
                  for i in range(6)],
     )
     world = scene.build_world()
-    in_range = build_perceptions(world.drones, world.objects, 10.0)
-    for i, d in enumerate(world.drones):
-        for j, o in enumerate(world.objects):
-            gap = (d.position.x - o.position.x, d.position.y - o.position.y)
-            assert in_range[i, j] == (math.hypot(*gap) <= 10.0)
-    assert coverage_map(world).tolist() == in_range.sum(axis=0).tolist()
+    in_range, coverage = sense(world)
+    for i, (dx, dy) in enumerate(zip(world.drone_x, world.drone_y)):
+        for j, (ox, oy) in enumerate(zip(world.object_x, world.object_y)):
+            assert in_range[i, j] == (math.hypot(dx - ox, dy - oy) <= 10.0)
+    assert list(coverage_map(world)) == in_range.sum(axis=0).tolist() == list(coverage)
 
 
 def test_step_world_senses_each_world_state_once(monkeypatch):
@@ -130,13 +133,15 @@ def test_step_world_senses_each_world_state_once(monkeypatch):
         objects=[(0, 12.0, 10.0, 0.0, True), (1, 41.0, 40.0, 90.0, False)],
     )
     world = scene.build_world()
-    rngs = agent_streams(3, [0, 1, 2])
+    choice, walk = agent_streams(3, [0, 1, 2], steps=10)
     for step in range(1, 11):
-        world, _ = step_world(world, rngs)
+        world, _ = step_world(world, choice[step - 1].tolist(), walk[step - 1].tolist())
         assert len(calls) == step
         # the handed-on sensing is exactly what the moved positions give
-        assert np.array_equal(
-            world.in_range, original(world.drones, world.objects, 10.0))
+        in_range, coverage = original(world.drone_x, world.drone_y, world.object_x,
+                                      world.object_y, 10.0)
+        assert np.array_equal(world.in_range, in_range)
+        assert world.coverage == coverage
 
 
 # ------------------------------------------------------------
@@ -145,37 +150,37 @@ def test_step_world_senses_each_world_state_once(monkeypatch):
 
 
 def test_select_notify_targets_takes_strongest():
-    assert select_notify_targets((0.0, 3.0, 1.0), IDS, 0, k=2) == {1}
+    assert select_notify_targets((0.0, 3.0, 1.0), 0, k=2) == [1]
 
 
 def test_select_notify_targets_breaks_ties_by_id():
-    assert select_notify_targets((0.0, 2.0, 2.0), IDS, 0, k=2) == {1}
-    # rows follow the roster order, whatever the ids are
-    assert select_notify_targets((2.0, 0.0, 2.0), (3, 5, 9), 5, k=2) == {3}
-    assert select_notify_targets((2.0, 0.0, 2.0), (3, 5, 9), 3, k=2) == {9}
+    # indices follow ascending drone ids, so the lower index is the lower id
+    assert select_notify_targets((0.0, 2.0, 2.0), 0, k=2) == [1]
+    assert select_notify_targets((2.0, 0.0, 2.0), 1, k=2) == [0]
+    assert select_notify_targets((2.0, 0.0, 2.0), 0, k=2) == [2]
 
 
 def test_select_notify_targets_truncated_roster():
-    assert select_notify_targets((0.0, 0.5), (0, 1), 0, k=3) == {1}
+    assert select_notify_targets((0.0, 0.5), 0, k=3) == [1]
 
 
 def test_select_notify_targets_counts_zero_weight_drones():
-    assert select_notify_targets((0.0,) * 4, (0, 1, 2, 3), 0, k=3) == {1, 2}
+    assert select_notify_targets((0.0,) * 4, 0, k=3) == [1, 2]
 
 
 def test_select_response_empty_inbox():
-    assert select_response((), ZERO_ROW, IDS) is None
+    assert select_response((), ZERO_ROW) is None
 
 
 def test_select_response_prefers_strongest_edge():
-    inbox = (Message(2, 9, Vec2(1, 1), 3), Message(1, 8, Vec2(2, 2), 3))
-    assert select_response(inbox, (0.0, 5.0, 2.0), IDS).sender_id == 1
-    assert select_response(inbox, (0.0, 2.0, 5.0), IDS).sender_id == 2
+    inbox = ((1, 8, 2.0, 2.0), (2, 9, 1.0, 1.0))
+    assert select_response(inbox, (0.0, 5.0, 2.0))[0] == 1
+    assert select_response(inbox, (0.0, 2.0, 5.0))[0] == 2
 
 
 def test_select_response_breaks_ties_by_lowest_id():
-    tied = (Message(2, 8, Vec2(1, 1), 9), Message(1, 9, Vec2(2, 2), 9))
-    assert select_response(tied, ZERO_ROW, IDS).sender_id == 1
+    tied = ((1, 9, 2.0, 2.0), (2, 8, 1.0, 1.0))
+    assert select_response(tied, ZERO_ROW)[0] == 1
 
 
 # ------------------------------------------------------------
@@ -183,32 +188,38 @@ def test_select_response_breaks_ties_by_lowest_id():
 # ------------------------------------------------------------
 
 
-def draws_of(choice=0.0, walk=0.0):
-    return AgentDraws(choice, walk)
+def decide_world(coverage=(1, 1), inbox=(), row=ZERO_ROW):
+    """Drone 0 of a three-drone fleet (ids 0-2) next to objects 4 at (3, 0)
+    and 6 at (0, 2), with the given coverage counts, inbox and weight row."""
+    scene = make_scene(
+        drones=[(0, 0.0, 0.0), (1, 40.0, 40.0), (2, 45.0, 45.0)],
+        objects=[(4, 3.0, 0.0, 0.0, True), (6, 0.0, 2.0, 0.0, True)],
+    )
+    weights = weights_of(3, {(0, 1): row[1], (0, 2): row[2]})
+    return dataclasses.replace(scene.build_world(), coverage=tuple(coverage),
+                               inbox=(tuple(inbox), (), ()), weights=read_only(weights))
 
 
-def decide_of(sensed=(), inbox=(), row=ZERO_ROW, time=0, choice=0.0, walk=0.0, k=2):
-    return decide(drone_of(0, inbox), time, list(sensed), row, IDS,
-                  draws_of(choice, walk), k)
+def decide_of(sensed=(), choice=0.0, **world):
+    return decide(decide_world(**world), 0, list(sensed), choice)
 
 
 def test_decide_notifies_when_not_k_covered():
-    d = decide_of(sensed=[(important(4, 3.0, 0.0), 0)], row=(0.0, 0.0, 1.0), time=11)
-    assert d.action.kind is ActionKind.NOTIFY_AND_FOLLOW
-    assert d.action.followed_object == 4
-    assert d.action.notified_drones == {2}
-    assert d.move_target == Vec2(3.0, 0.0)
-    assert d.move_distance == FOLLOW_DISTANCE
-    assert d.outgoing == ((2, Message(0, 4, Vec2(3.0, 0.0), 11)),)
+    action, target, notify = decide_of(sensed=[0], coverage=(1, 1), row=(0.0, 0.0, 1.0))
+    assert action.kind is ActionKind.NOTIFY_AND_FOLLOW
+    assert action.followed_object == 4
+    assert action.notified_drones == {2}
+    assert target == (3.0, 0.0, FOLLOW_DISTANCE)
+    assert notify == [2]
 
 
 def test_decide_follows_when_already_k_covered():
-    d = decide_of(sensed=[(important(4, 3.0, 0.0), 1)])
-    assert d.action.kind is ActionKind.FOLLOW
-    assert d.action.followed_object == 4
-    assert d.action.notified_drones == frozenset()
-    assert d.outgoing == ()
-    assert d.move_distance == FOLLOW_DISTANCE
+    action, target, notify = decide_of(sensed=[0], coverage=(2, 1))
+    assert action.kind is ActionKind.FOLLOW
+    assert action.followed_object == 4
+    assert action.notified_drones == frozenset()
+    assert notify == []
+    assert target == (3.0, 0.0, FOLLOW_DISTANCE)
 
 
 def test_decide_ignores_unimportant_objects():
@@ -216,47 +227,42 @@ def test_decide_ignores_unimportant_objects():
     scene = make_scene(drones=[(0, 25.0, 25.0)], objects=[(4, 28.0, 25.0, 0.0, False)])
     world = scene.build_world()
     assert world.in_range.tolist() == [[True]]
-    _, actions = step_world(world, agent_streams(0, [0]))
-    assert actions[0].kind is ActionKind.RANDOM_WALK
+    assert first_step(world, 0)[0].kind is ActionKind.RANDOM_WALK
 
 
 def test_decide_responds_to_best_request():
-    msg = Message(1, 7, Vec2(9.0, 9.0), 4)
-    d = decide_of(inbox=[msg])
-    assert d.action.kind is ActionKind.RESPOND_AND_FOLLOW
-    assert d.action.responded_to == 1
-    assert d.action.followed_object == 7
-    assert d.move_target == Vec2(9.0, 9.0)
-    assert d.move_distance == RESPOND_DISTANCE
+    action, target, notify = decide_of(inbox=[(1, 7, 9.0, 9.0)])
+    assert action.kind is ActionKind.RESPOND_AND_FOLLOW
+    assert action.responded_to == 1
+    assert action.followed_object == 7
+    assert target == (9.0, 9.0, RESPOND_DISTANCE)
+    assert notify == []
 
 
 def test_decide_important_object_outranks_inbox():
-    msg = Message(1, 7, Vec2(9.0, 9.0), 4)
-    d = decide_of(sensed=[(important(4, 3.0, 0.0), 1)], inbox=[msg])
-    assert d.action.kind is ActionKind.FOLLOW
+    action, _, _ = decide_of(sensed=[0], coverage=(2, 2), inbox=[(1, 7, 9.0, 9.0)])
+    assert action.kind is ActionKind.FOLLOW
 
 
 def test_decide_random_walk_when_idle():
-    d = decide_of(walk=0.37)
-    assert d.action.kind is ActionKind.RANDOM_WALK
-    assert d.move_target is None
-    assert d.move_angle == pytest.approx(0.37 * 360.0)
-    assert d.move_distance == RANDOM_WALK_DISTANCE
-    assert d.action.followed_object is None
-    assert d.action.notified_drones == frozenset()
-    assert d.action.responded_to is None
+    action, target, notify = decide_of()
+    assert action.kind is ActionKind.RANDOM_WALK
+    assert target is None  # step_world turns the walk draw into a heading
+    assert notify == []
+    assert action.followed_object is None
+    assert action.notified_drones == frozenset()
+    assert action.responded_to is None
 
 
 def test_decide_choice_draw_maps_uniformly_onto_pick():
-    sensed = [(important(4, 3.0, 0.0), 1), (important(6, 0.0, 2.0), 1)]
-    assert decide_of(sensed=sensed, choice=0.49).action.followed_object == 4
-    assert decide_of(sensed=sensed, choice=0.5).action.followed_object == 6
+    sensed = [0, 1]
+    assert decide_of(sensed=sensed, coverage=(2, 2), choice=0.49)[0].followed_object == 4
+    assert decide_of(sensed=sensed, coverage=(2, 2), choice=0.5)[0].followed_object == 6
 
 
 def test_decide_is_pure_given_draws():
-    sensed = [(important(4, 3.0, 0.0), 0), (important(6, 0.0, 2.0), 0)]
-    a = decide_of(sensed=sensed, choice=0.8, walk=0.1)
-    b = decide_of(sensed=sensed, choice=0.8, walk=0.1)
+    a = decide_of(sensed=[0, 1], choice=0.8)
+    b = decide_of(sensed=[0, 1], choice=0.8)
     assert a == b
 
 
@@ -268,7 +274,7 @@ def test_decide_picks_only_important_in_range_objects(seed, n_important):
     objects = [(i, 25.0 + i, 25.0, 0.0, i < n_important) for i in range(6)]
     scene = make_scene(drones=[(0, 25.0, 25.0)],
                        objects=objects + [(6, 45.0, 45.0, 0.0, True)])
-    _, actions = step_world(scene.build_world(), agent_streams(seed, [0]))
+    actions = first_step(scene.build_world(), seed)
     assert actions[0].kind in (ActionKind.FOLLOW, ActionKind.NOTIFY_AND_FOLLOW)
     assert actions[0].followed_object < n_important
 
@@ -368,11 +374,11 @@ def test_fleet_evolve_matches_per_drone_reference(seed, m, n, steps, gamma, delt
         width=30.0, height=30.0, sensing_range=8.0, gamma=gamma, delta=delta,
     )
     world = scene.build_world()
-    rngs = agent_streams(seed, range(m))
-    graphs = {d.id: {} for d in world.drones}
+    choice, walk = agent_streams(seed, range(m), steps=steps)
+    graphs = {i: {} for i in world.drone_ids}
     bound = delta * n / (1.0 - gamma)
-    for _ in range(steps):
-        world, _ = step_world(world, rngs)
+    for t in range(steps):
+        world, _ = step_world(world, choice[t].tolist(), walk[t].tolist())
         co_cover = reference_co_cover(world, 8.0)
         graphs = {i: reference_evolve(graphs[i], co_cover[i], gamma, delta) for i in graphs}
         w = world.weights

@@ -447,3 +447,43 @@ def test_pareto_rejects_missing_columns(tmp_path, capsys):
     rc = main(["pareto", "--input", str(src), "--out", str(tmp_path / "f.csv")])
     assert rc == 1
     assert "lacks columns" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value,field", [
+    ("--width", "-5", "width"),
+    ("--height", "0", "height"),
+    ("--k", "0", "k"),
+    ("--range", "-2", "range"),
+    ("--gamma", "1.5", "gamma"),
+    ("--delta", "0", "delta"),
+    ("--importance-period", "0", "importance_period"),
+])
+def test_gen_scene_rejects_bad_parameter_and_writes_nothing(tmp_path, capsys, flag, value,
+                                                            field):
+    out = tmp_path / "x.json"
+    rc = main(["gen-scene", "--drones", "3", "--objects", "4", flag, value, "--out", str(out)])
+    assert rc == 1
+    assert f"{field} must" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gen_scene_names_every_bad_parameter(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    rc = main(["gen-scene", "--drones", "3", "--objects", "4", "--k", "0", "--gamma", "1.5",
+               "--range", "-2", "--importance-period", "0", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    for field in ("k", "gamma", "range", "importance_period"):
+        assert f"{field} must" in err
+    assert not out.exists()
+
+
+def test_run_rejects_mistyped_scene_field(tmp_path, capsys):
+    data = json.loads((SCENES / "scene1.json").read_text())
+    data["objects"][0]["important"] = "false"
+    scene = tmp_path / "bad.json"
+    scene.write_text(json.dumps(data))
+    rc = main(["run", "--scene", str(scene), "--steps", "1",
+               "--trace", str(tmp_path / "t.csv"), "--summary", str(tmp_path / "s.csv")])
+    assert rc == 1
+    assert "objects[0].important must be true or false" in capsys.readouterr().err

@@ -20,7 +20,7 @@ from twinsync.equivalence import (
     state_vector,
     windowed_check,
 )
-from twinsync.model import ActionKind, ActionRecord, Vec2, read_only
+from twinsync.model import ActionKind, ActionRecord, read_only
 
 from helpers import make_scene
 
@@ -171,10 +171,15 @@ def test_coarse_deviation_ignores_details():
 
 
 def test_action_records_must_align():
-    with pytest.raises(ValueError, match="different drone id sets"):
-        coarse_action_deviation([walk(0)], [walk(1)])
-    with pytest.raises(ValueError, match="duplicate"):
-        coarse_action_deviation([walk(0), walk(0)], [walk(0), walk(1)])
+    # both worlds list their records in drone order, so they pair up by position
+    for a, b in (([walk(0)], [walk(1)]),
+                 ([walk(0), walk(0)], [walk(0), walk(1)]),
+                 ([walk(0), walk(1)], [walk(1), walk(0)]),
+                 ([walk(0)], [walk(0), walk(1)])):
+        with pytest.raises(ValueError, match="different drone id sequences"):
+            coarse_action_deviation(a, b)
+        with pytest.raises(ValueError, match="different drone id sequences"):
+            mean_fine_action_deviation(a, b, k=2)
 
 
 # Branch table, all kind pairings.
@@ -380,8 +385,7 @@ def test_checker_payloads_and_metrics_wire_up():
         objects=[(0, 5.0, 5.0, 0.0, True)],
     )
     world = scene.build_world()
-    moved = dataclasses.replace(world, objects=(
-        dataclasses.replace(world.objects[0], position=Vec2(8.0, 9.0)),))
+    moved = dataclasses.replace(world, object_x=(8.0,), object_y=(9.0,))
     actions = (walk(0), walk(1))
     other = (walk(0), follow(1, 1))
 

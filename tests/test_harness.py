@@ -1,6 +1,6 @@
 """Paired runs: streams, threats, snapshots, updates, studies, summaries."""
 
-import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -11,7 +11,6 @@ from twinsync.equivalence import state_vector, state_deviation, windowed_check
 from twinsync.harness import (
     CONDITIONS,
     STRATEGIES,
-    Snapshot,
     StrategyStudyConfig,
     ThreatConfig,
     TwinRunConfig,
@@ -28,7 +27,7 @@ from twinsync.agent import build_perceptions
 from twinsync.analysis import comparison_memory_cost
 from twinsync.worldsim import coverage_map, step_world, utility_k
 
-from helpers import make_scene
+from helpers import make_scene, reference_agent_streams
 
 
 SMALL = make_scene(
@@ -60,29 +59,37 @@ def test_derive_rng_reproducible_and_keyed():
 
 
 def test_agent_streams_are_private_per_drone_and_channel():
-    streams = agent_streams(7, [0, 1, 2])
-    draws = {i: (s.choice.random(), s.walk.random()) for i, s in streams.items()}
-    flat = [v for pair in draws.values() for v in pair]
-    assert len(set(flat)) == 6
-    again = agent_streams(7, [0, 1, 2])
-    assert [(again[i].choice.random(), again[i].walk.random()) for i in range(3)] \
-        == [draws[i] for i in range(3)]
+    choice, walk = agent_streams(7, [0, 1, 2], steps=5)
+    assert choice.shape == walk.shape == (5, 3)
+    assert choice.dtype == walk.dtype == np.float64
+    assert len(set(choice[0].tolist() + walk[0].tolist())) == 6
+    again = agent_streams(7, [0, 1, 2], steps=5)
+    assert np.array_equal(again[0], choice) and np.array_equal(again[1], walk)
 
 
 def test_agent_streams_salt_changes_draws():
-    plain = agent_streams(7, [0])[0]
-    salted = agent_streams(7, [0], salt=(1,))[0]
-    assert plain.choice.random() != salted.choice.random()
-    assert plain.walk.random() != salted.walk.random()
+    plain = agent_streams(7, [0], steps=1)
+    salted = agent_streams(7, [0], salt=(1,), steps=1)
+    assert plain[0][0, 0] != salted[0][0, 0]
+    assert plain[1][0, 0] != salted[1][0, 0]
 
 
 def test_agent_streams_walk_seed_rekeys_only_the_walk_channel():
-    mixed = agent_streams(9, [0], walk_seed=7)[0]
-    assert mixed.choice.random() == agent_streams(9, [0])[0].choice.random()
-    assert mixed.walk.random() == agent_streams(7, [0])[0].walk.random()
-    rekeyed = agent_streams(9, [0], walk_seed=7)[0]
-    plain = agent_streams(9, [0])[0]
-    assert rekeyed.walk.random() != plain.walk.random()
+    mixed = agent_streams(9, [0], walk_seed=7, steps=3)
+    assert np.array_equal(mixed[0], agent_streams(9, [0], steps=3)[0])
+    assert np.array_equal(mixed[1], agent_streams(7, [0], steps=3)[1])
+    assert not np.array_equal(mixed[1], agent_streams(9, [0], steps=3)[1])
+
+
+@pytest.mark.parametrize("salt,walk_seed", [((), None), ((3,), None), ((), 11)])
+def test_agent_stream_tapes_equal_scalar_draws(salt, walk_seed):
+    # row t, column c is the t-th scalar draw of drone ids[c]'s generator
+    ids, steps = [4, 0, 9], 300
+    choice, walk = agent_streams(5, ids, salt=salt, walk_seed=walk_seed, steps=steps)
+    streams = reference_agent_streams(5, ids, salt=salt, walk_seed=walk_seed)
+    for t in range(steps):
+        assert choice[t].tolist() == [float(streams[i].choice.random()) for i in ids]
+        assert walk[t].tolist() == [float(streams[i].walk.random()) for i in ids]
 
 
 def test_conditions_wire_the_right_threats():
@@ -98,48 +105,56 @@ def test_conditions_wire_the_right_threats():
 # ------------------------------------------------------------
 
 
-def drifted_world(steps=25, bias=3.0, seed=11):
-    world = SMALL.build_world()
-    rngs = agent_streams(seed, [d.id for d in world.drones])
-    for _ in range(steps):
-        world, _ = step_world(world, rngs, bias_degrees=bias)
+def run_world(world, seed, steps, **kwargs):
+    choice, walk = agent_streams(seed, world.drone_ids, steps=steps)
+    for t in range(steps):
+        world, _ = step_world(world, choice[t].tolist(), walk[t].tolist(), **kwargs)
     return world
+
+
+def drifted_world(steps=25, bias=3.0, seed=11):
+    return run_world(SMALL.build_world(), seed, steps, bias_degrees=bias)
 
 
 def test_snapshot_without_threat_copies_exactly():
     world = drifted_world()
     snap = sense_snapshot(world, ThreatConfig(), derive_rng(0))
-    assert snap.time == world.time
-    for so, o in zip(snap.objects, world.objects):
-        assert so.position == o.position
-        assert so.direction == o.direction
-        assert so.important == o.important
-        assert not so.estimated
-    assert snap.drones is world.drones
-    assert snap.weights is world.weights
+    assert snap.physical is world
+    assert snap.object_x is world.object_x and snap.object_y is world.object_y
+    assert not any(snap.estimated)
+    assert len(snap.estimated) == len(world.object_ids)
 
 
 def test_snapshot_estimates_only_uncovered_objects():
     world = drifted_world()
     threat = CONDITIONS["II"]
     cov = coverage_map(world)
-    uncovered = {o.id for o, n in zip(world.objects, cov) if n == 0}
-    assert uncovered and len(uncovered) < len(cov)  # both kinds present
+    uncovered = [n == 0 for n in cov]
+    assert any(uncovered) and not all(uncovered)  # both kinds present
 
     snap = sense_snapshot(world, threat, derive_rng(5))
-    for so, o in zip(snap.objects, world.objects):
-        if o.id in uncovered:
-            assert so.estimated
-            dx = so.position.x - o.position.x
-            dy = so.position.y - o.position.y
+    assert snap.physical is world
+    assert list(snap.estimated) == uncovered
+    for j, estimated in enumerate(snap.estimated):
+        x, y = snap.object_x[j], snap.object_y[j]
+        if estimated:
             # one-sided noise, modulo clamping at the walls
-            assert dx <= 5.0 + 1e-12 and dy <= 5.0 + 1e-12
-            assert 0.0 <= so.position.x <= 50.0 and 0.0 <= so.position.y <= 50.0
+            assert x - world.object_x[j] <= 5.0 + 1e-12
+            assert y - world.object_y[j] <= 5.0 + 1e-12
+            assert 0.0 <= x <= 50.0 and 0.0 <= y <= 50.0
         else:
-            assert not so.estimated
-            assert so.position == o.position
-        assert so.direction == o.direction
-        assert so.important == o.important
+            assert (x, y) == (world.object_x[j], world.object_y[j])
+
+
+def test_snapshot_draws_noise_x_then_y_in_object_order():
+    world = drifted_world()
+    rng = derive_rng(5)
+    snap = sense_snapshot(world, CONDITIONS["II"], derive_rng(5))
+    for j, estimated in enumerate(snap.estimated):
+        if estimated:
+            dx, dy = rng.uniform(0.0, 5.0), rng.uniform(0.0, 5.0)
+            assert snap.object_x[j] == min(max(world.object_x[j] + dx, 0.0), 50.0)
+            assert snap.object_y[j] == min(max(world.object_y[j] + dy, 0.0), 50.0)
 
 
 def test_snapshot_signed_noise_can_go_negative():
@@ -149,10 +164,10 @@ def test_snapshot_signed_noise_can_go_negative():
     rng = derive_rng(6)
     for _ in range(10):
         snap = sense_snapshot(world, threat, rng, signed_noise=True)
-        for so, o in zip(snap.objects, world.objects):
-            if so.estimated:
-                offsets.append(so.position.x - o.position.x)
-                offsets.append(so.position.y - o.position.y)
+        for j, estimated in enumerate(snap.estimated):
+            if estimated:
+                offsets.append(snap.object_x[j] - world.object_x[j])
+                offsets.append(snap.object_y[j] - world.object_y[j])
     assert offsets
     assert all(-5.0 - 1e-12 <= off <= 5.0 + 1e-12 for off in offsets)
     assert min(offsets) < 0.0
@@ -163,9 +178,8 @@ def test_snapshot_noise_is_deterministic_per_stream():
     threat = CONDITIONS["II"]
     a = sense_snapshot(world, threat, derive_rng(9))
     b = sense_snapshot(world, threat, derive_rng(9))
-    assert (a.time, a.objects, a.drones) == (b.time, b.objects, b.drones)
-    assert any(o.estimated for o in a.objects)
-    assert np.array_equal(a.weights, b.weights)
+    assert (a.object_x, a.object_y, a.estimated) == (b.object_x, b.object_y, b.estimated)
+    assert any(a.estimated)
 
 
 # ------------------------------------------------------------
@@ -176,11 +190,12 @@ def test_snapshot_noise_is_deterministic_per_stream():
 def paired_for_update(steps=20):
     """A drifted physical world and a differently-drifted twin at equal time."""
     physical = drifted_world(steps=steps, seed=11)
-    twin = SMALL.build_world()
-    rngs = agent_streams(99, [d.id for d in twin.drones])
-    for _ in range(steps):
-        twin, _ = step_world(twin, rngs)
+    twin = run_world(SMALL.build_world(), 99, steps)
     return physical, twin
+
+
+COLUMNS = ("object_ids", "object_x", "object_y", "object_dir", "important",
+           "drone_ids", "drone_x", "drone_y", "inbox", "coverage")
 
 
 def test_apply_update_replaces_shared_state():
@@ -189,14 +204,28 @@ def test_apply_update_replaces_shared_state():
     for strategy in STRATEGIES:
         updated = apply_update(twin, snap, strategy)
         assert updated.time == twin.time
-        assert [o.position for o in updated.objects] == [o.position for o in physical.objects]
-        assert [o.important for o in updated.objects] == [o.important for o in physical.objects]
-        assert [d.position for d in updated.drones] == [d.position for d in physical.drones]
-        assert [d.inbox for d in updated.drones] == [d.inbox for d in physical.drones]
-        # new positions are sensed afresh
+        for name in COLUMNS:
+            assert getattr(updated, name) == getattr(physical, name), name
+        assert updated.params == twin.params
+        # the reported positions come with their sensing
         assert np.array_equal(updated.in_range, physical.in_range)
-        assert np.array_equal(updated.in_range, build_perceptions(
-            updated.drones, updated.objects, SMALL.sensing_range))
+        in_range, coverage = build_perceptions(
+            updated.drone_x, updated.drone_y, updated.object_x, updated.object_y,
+            SMALL.sensing_range)
+        assert np.array_equal(updated.in_range, in_range)
+        assert updated.coverage == coverage
+
+
+def test_apply_update_senses_estimated_positions_afresh():
+    physical, twin = paired_for_update()
+    snap = sense_snapshot(physical, CONDITIONS["II"], derive_rng(3))
+    assert any(snap.estimated)
+    updated = apply_update(twin, snap, "update")
+    assert (updated.object_x, updated.object_y) == (snap.object_x, snap.object_y)
+    in_range, coverage = build_perceptions(
+        updated.drone_x, updated.drone_y, snap.object_x, snap.object_y, SMALL.sensing_range)
+    assert np.array_equal(updated.in_range, in_range)
+    assert updated.coverage == coverage
 
 
 def test_apply_update_strategy_update_shares_physical_weights():
@@ -230,9 +259,9 @@ def test_apply_update_validates_inputs():
     snap = sense_snapshot(physical, ThreatConfig(), derive_rng(0))
     with pytest.raises(ValueError, match="strategy"):
         apply_update(twin, snap, "merge")
-    stale = Snapshot(snap.time + 5, snap.objects, snap.drones, snap.weights)
+    later = step_world(twin, [0.0] * 5, [0.0] * 5)[0]
     with pytest.raises(ValueError, match="time"):
-        apply_update(twin, stale, "update")
+        apply_update(later, snap, "update")
 
 
 def test_update_under_estimation_noise_stays_bounded():
@@ -240,12 +269,11 @@ def test_update_under_estimation_noise_stays_bounded():
     threat = CONDITIONS["II"]
     snap = sense_snapshot(physical, threat, derive_rng(1))
     updated = apply_update(twin, snap, "update")
-    n_obj = len(physical.objects)
+    n_obj = len(physical.object_ids)
     dev = state_deviation(state_vector(physical), state_vector(updated))
     assert dev <= 5.0 * math.sqrt(2.0 * n_obj)
     # drones resync exactly; only estimated objects carry error
-    for ud, pd in zip(updated.drones, physical.drones):
-        assert ud.position == pd.position
+    assert (updated.drone_x, updated.drone_y) == (physical.drone_x, physical.drone_y)
 
 
 # ------------------------------------------------------------
@@ -301,11 +329,11 @@ def test_run_paired_free_twin_matches_standalone_run():
     trace = run_paired(run_config(condition="I", theta=math.inf, steps=40))
     twin = SMALL.build_world()
     # divergence re-keys choice draws to seed + 1; walks stay on the run seed
-    rngs = agent_streams(6, [d.id for d in twin.drones], walk_seed=5)
+    choice, walk = agent_streams(6, twin.drone_ids, walk_seed=5, steps=40)
     oracle = []
-    for _ in range(40):
+    for t in range(40):
         oracle.append(utility_k(twin, SMALL.k))
-        twin, _ = step_world(twin, rngs)
+        twin, _ = step_world(twin, choice[t].tolist(), walk[t].tolist())
     assert trace.u_twin == oracle
 
 
@@ -419,17 +447,17 @@ def test_run_paired_action2_memory_cost_is_the_mean_of_step_costs():
     # mix for both worlds, and average the list as the trace once did.
     trace = run_paired(run_config(condition="I", checker="action2", theta=math.inf,
                                   steps=40))
-    ids = [d.id for d in SMALL.drones]
     physical, twin = SMALL.build_world(), SMALL.build_world()
-    phys_rngs = agent_streams(5, ids)
-    twin_rngs = agent_streams(6, ids, walk_seed=5)
+    phys_choice, walk = agent_streams(5, physical.drone_ids, steps=40)
+    twin_choice, _ = agent_streams(6, physical.drone_ids, walk_seed=5, steps=40)
     prev_p, prev_t, costs = (), (), []
-    for _ in range(40):
+    for t in range(40):
         costs.append(comparison_memory_cost(
             "action2", 5, 8, k=SMALL.k,
             step_kinds=([a.kind.value for a in prev_p], [a.kind.value for a in prev_t])))
-        physical, prev_p = step_world(physical, phys_rngs, bias_degrees=3.0)
-        twin, prev_t = step_world(twin, twin_rngs)
+        physical, prev_p = step_world(physical, phys_choice[t].tolist(), walk[t].tolist(),
+                                      bias_degrees=3.0)
+        twin, prev_t = step_world(twin, twin_choice[t].tolist(), walk[t].tolist())
     assert len(set(costs)) > 2
     assert trace.memory_cost == sum(costs) / len(costs)
 
@@ -530,3 +558,37 @@ def test_study_is_reproducible():
     b = run_strategy_study(study_config())
     assert a.deviations == b.deviations
     assert a.start_times == b.start_times
+
+
+@pytest.mark.parametrize("condition", ["I", "II"])
+def test_study_clones_read_the_tapes_at_their_offsets(monkeypatch, condition):
+    # The physical world reads tape row t at time t. A clone at `start`, and
+    # every branch after it, reads the physical walk tape at its own time; its
+    # choice channel reads the physical tape too, or, under seed divergence,
+    # the seed + 1 tape from row 0 at the clone.
+    calls = []
+
+    def recording(world, choice, walk, *args, **kwargs):
+        calls.append((world.time, choice, walk))
+        return step_world(world, choice, walk, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "step_world", recording)
+    config = study_config(condition=condition)
+    result = run_strategy_study(config)
+    branch_steps = config.accumulation + config.evaluation
+    run_to = config.start_max + branch_steps
+    ids = tuple(sorted(d.id for d in SMALL.drones))
+    choice, walk = agent_streams(config.seed, ids, salt=(0,), steps=run_to)
+    divergent = agent_streams(config.seed + 1, ids, salt=(0,), steps=branch_steps)[0]
+
+    assert calls[:run_to] == [(t, choice[t].tolist(), walk[t].tolist()) for t in range(run_to)]
+    per_start = config.accumulation + len(STRATEGIES) * config.evaluation
+    rest = calls[run_to:]
+    assert len(rest) == per_start * len(result.start_times)
+    for n, start in enumerate(result.start_times):
+        for time, c, w in rest[n * per_start:(n + 1) * per_start]:
+            assert w == walk[time].tolist()
+            if CONDITIONS[condition].divergent_seeds:
+                assert c == divergent[time - start].tolist()
+            else:
+                assert c == choice[time].tolist()

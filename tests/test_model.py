@@ -1,15 +1,19 @@
 """Domain types: world construction, fleet knowledge, scene files and validation."""
 
 import math
+import re
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twinsync.model import (
-    Message,
-    ObjectState,
+    ActionKind,
+    ActionRecord,
     SceneDrone,
     SceneObject,
-    Vec2,
+    SceneSpec,
     WorldParams,
     decode_scene,
     encode_scene,
@@ -50,21 +54,23 @@ def test_build_world_sorts_entities_by_id():
         objects=[(9, 3.0, 3.0, 0.0, False), (4, 4.0, 4.0, 90.0, True)],
     )
     world = scene.build_world()
-    assert [d.id for d in world.drones] == [2, 5]
-    assert [o.id for o in world.objects] == [4, 9]
+    assert world.drone_ids == (2, 5)
+    assert (world.drone_x, world.drone_y) == ((2.0, 1.0), (2.0, 1.0))
+    assert world.object_ids == (4, 9)
+    assert world.object_dir == (90.0, 0.0)
+    assert world.important == (True, False)
 
 
 def test_build_world_starts_fresh():
     world = SCENE.build_world()
     assert world.time == 0
-    for d in world.drones:
-        assert d.inbox == ()
+    assert world.inbox == ((), (), ())
     assert world.weights.tolist() == [[0.0] * 3] * 3
     # drone 0 at (1, 2) senses object 0 at (5, 5); nobody reaches object 1
     assert world.in_range.tolist() == [[True, False], [True, False], [False, False]]
-    obj = world.objects[0]
-    assert obj.position == Vec2(5.0, 5.0)
-    assert obj.important is True
+    assert world.coverage == (2, 0)
+    assert (world.object_x[0], world.object_y[0]) == (5.0, 5.0)
+    assert world.important[0] is True
 
 
 def test_world_params_bounds():
@@ -164,11 +170,106 @@ def test_load_scene_strict_rejects_invalid(tmp_path):
 
 
 def test_message_and_entity_shapes():
-    msg = Message(1, 2, Vec2(3.0, 4.0), 5)
-    assert msg.sender_id == 1 and msg.sent_at == 5
-    obj = ObjectState(0, Vec2(1.0, 1.0), 90.0, False)
-    assert not obj.important
+    record = ActionRecord(1, ActionKind.FOLLOW, 4)
+    assert record == (1, ActionKind.FOLLOW, 4, frozenset(), None)
+    assert record.followed_object == 4 and record.responded_to is None
     drone = SceneDrone(1, 2.0, 3.0)
     assert drone.id == 1
     sobj = SceneObject(2, 1.0, 1.0, 180.0, True)
     assert sobj.important
+
+
+# ------------------------------------------------------------
+# Strict decoding
+# ------------------------------------------------------------
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+scenes = st.builds(
+    SceneSpec,
+    width=finite, height=finite, k=st.integers(), sensing_range=finite, gamma=finite,
+    delta=finite, importance_period=st.integers(),
+    drones=st.lists(st.builds(SceneDrone, st.integers(), finite, finite),
+                    max_size=4).map(tuple),
+    objects=st.lists(st.builds(SceneObject, st.integers(), finite, finite, finite,
+                               st.booleans()), max_size=4).map(tuple),
+)
+
+
+@given(scenes)
+@settings(max_examples=100, deadline=None)
+def test_scene_decode_encode_roundtrip_property(scene):
+    decoded = decode_scene(encode_scene(scene))
+    assert decoded == scene
+    assert all(type(v) is float for d in decoded.drones for v in d[1:])
+    assert all(type(o.important) is bool for o in decoded.objects)
+
+
+# JSON kind of every field of SCENE, by path, and values of every other kind.
+FIELD_KINDS = {
+    **{key: "number" for key in ("width", "height", "range", "gamma", "delta")},
+    "k": "integer", "importance_period": "integer",
+    **{f"drones[1].{key}": "number" for key in ("x", "y")}, "drones[1].id": "integer",
+    **{f"objects[0].{key}": "number" for key in ("x", "y", "direction")},
+    "objects[0].id": "integer", "objects[0].important": "bool",
+}
+WRONG_VALUES = {
+    "number": st.one_of(st.booleans(), st.text(), st.none(), st.just([1.0])),
+    "integer": st.one_of(st.booleans(), st.text(), st.none(), finite),
+    "bool": st.one_of(st.integers(), finite, st.text(), st.none()),
+}
+
+
+def holder_of(data, path):
+    """The dict that holds a field path such as `objects[0].x`, and its key."""
+    *parents, key = path.replace("[", ".").replace("]", "").split(".")
+    for part in parents:
+        data = data[int(part)] if part.isdigit() else data[part]
+    return data, key
+
+
+@given(st.sampled_from(sorted(FIELD_KINDS)).flatmap(
+    lambda path: st.tuples(st.just(path), WRONG_VALUES[FIELD_KINDS[path]])))
+@settings(max_examples=150, deadline=None)
+def test_mistyped_scene_field_is_named_and_exits_1(case):
+    import json
+    import tempfile
+
+    from twinsync.cli import main
+
+    path, value = case
+    data = scene_to_dict(SCENE)
+    holder, key = holder_of(data, path)
+    holder[key] = value
+    with pytest.raises(ValueError, match=re.escape(f"{path} must be")):
+        scene_from_dict(data)
+    with tempfile.TemporaryDirectory() as tmp:
+        scene_file = Path(tmp) / "bad.json"
+        scene_file.write_text(json.dumps(data))
+        assert main(["run", "--scene", str(scene_file), "--steps", "1",
+                     "--trace", str(Path(tmp) / "t.csv"),
+                     "--summary", str(Path(tmp) / "s.csv")]) == 1
+
+
+@pytest.mark.parametrize("path", sorted(FIELD_KINDS))
+def test_missing_scene_field_is_named(path):
+    data = scene_to_dict(SCENE)
+    holder, key = holder_of(data, path)
+    del holder[key]
+    with pytest.raises(ValueError, match=re.escape(f"missing field {path}")):
+        scene_from_dict(data)
+
+
+@pytest.mark.parametrize("data,path", [
+    ([], "scene"),
+    ({**scene_to_dict(SCENE), "drones": {}}, "drones"),
+    ({**scene_to_dict(SCENE), "objects": [3]}, "objects[0]"),
+])
+def test_malformed_scene_containers_are_named(data, path):
+    with pytest.raises(ValueError, match=re.escape(f"{path} must be")):
+        scene_from_dict(data)
+
+
+def test_bundled_scenes_decode_strictly():
+    for scene_file in sorted((Path(__file__).resolve().parent.parent / "scenes").glob("*.json")):
+        assert validate_scene(load_scene(scene_file)) == []

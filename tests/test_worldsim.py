@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twinsync.harness import agent_streams
-from twinsync.model import ActionKind, ObjectState, Vec2
+from twinsync.model import ActionKind
 from twinsync.worldsim import (
     clamp_point,
     coverage_map,
@@ -19,9 +19,23 @@ from twinsync.worldsim import (
     utility_k,
 )
 
-from helpers import make_scene
+from helpers import (
+    make_scene,
+    reference_agent_streams,
+    reference_build_world,
+    reference_step,
+)
 
 BOUNDS = (50.0, 50.0)
+
+
+def run_steps(world, streams, steps, t0=0, **kwargs):
+    """Step a world `steps` times from tape row t0; returns it and the last actions."""
+    choice, walk = streams
+    actions = ()
+    for t in range(t0, t0 + steps):
+        world, actions = step_world(world, choice[t].tolist(), walk[t].tolist(), **kwargs)
+    return world, actions
 
 
 # ------------------------------------------------------------
@@ -30,31 +44,31 @@ BOUNDS = (50.0, 50.0)
 
 
 def test_clamp_point_corners():
-    assert clamp_point(Vec2(-1.0, 25.0), BOUNDS) == Vec2(0.0, 25.0)
-    assert clamp_point(Vec2(51.0, -3.0), BOUNDS) == Vec2(50.0, 0.0)
-    assert clamp_point(Vec2(12.0, 13.0), BOUNDS) == Vec2(12.0, 13.0)
+    assert clamp_point(-1.0, 25.0, BOUNDS) == (0.0, 25.0)
+    assert clamp_point(51.0, -3.0, BOUNDS) == (50.0, 0.0)
+    assert clamp_point(12.0, 13.0, BOUNDS) == (12.0, 13.0)
 
 
 def test_move_point_toward_axis_aligned():
-    assert move_point_toward(Vec2(0, 0), Vec2(10, 0), 1.0, BOUNDS) == Vec2(1.0, 0.0)
+    assert move_point_toward(0.0, 0.0, 10.0, 0.0, 1.0, BOUNDS) == (1.0, 0.0)
 
 
 def test_move_point_toward_overshoot_snaps_to_target():
-    assert move_point_toward(Vec2(0, 0), Vec2(0.5, 0), 1.0, BOUNDS) == Vec2(0.5, 0.0)
+    assert move_point_toward(0.0, 0.0, 0.5, 0.0, 1.0, BOUNDS) == (0.5, 0.0)
 
 
 def test_move_point_toward_exact_arrival():
-    assert move_point_toward(Vec2(0, 0), Vec2(3, 4), 5.0, BOUNDS) == Vec2(3.0, 4.0)
+    assert move_point_toward(0.0, 0.0, 3.0, 4.0, 5.0, BOUNDS) == (3.0, 4.0)
 
 
 def test_move_point_toward_degenerate_stays_put():
-    assert move_point_toward(Vec2(2, 2), Vec2(2, 2), 1.0, BOUNDS) == Vec2(2.0, 2.0)
+    assert move_point_toward(2.0, 2.0, 2.0, 2.0, 1.0, BOUNDS) == (2.0, 2.0)
 
 
 def test_move_point_toward_proportional_step():
-    got = move_point_toward(Vec2(0, 0), Vec2(3, 4), 1.0, BOUNDS)
-    assert got.x == pytest.approx(0.6)
-    assert got.y == pytest.approx(0.8)
+    x, y = move_point_toward(0.0, 0.0, 3.0, 4.0, 1.0, BOUNDS)
+    assert x == pytest.approx(0.6)
+    assert y == pytest.approx(0.8)
 
 
 # ------------------------------------------------------------
@@ -62,63 +76,65 @@ def test_move_point_toward_proportional_step():
 # ------------------------------------------------------------
 
 
-def obj_at(x, y, direction, important=True, oid=0):
-    return ObjectState(oid, Vec2(x, y), direction, important)
-
-
 def test_move_object_straight_east():
-    out = move_object(obj_at(5.0, 5.0, 0.0), 0.0, BOUNDS)
-    assert out.position.x == pytest.approx(6.0)
-    assert out.position.y == pytest.approx(5.0)
-    assert out.direction == 0.0
+    x, y, direction = move_object(5.0, 5.0, 0.0, 0.0, BOUNDS)
+    assert x == pytest.approx(6.0)
+    assert y == pytest.approx(5.0)
+    assert direction == 0.0
 
 
 def test_move_object_bias_rotates_displacement():
-    out = move_object(obj_at(5.0, 5.0, 0.0), 3.0, BOUNDS)
+    x, y, _ = move_object(5.0, 5.0, 0.0, 3.0, BOUNDS)
     # cos/sin of 3 degrees, frozen
-    assert out.position.x - 5.0 == pytest.approx(0.9986295347545738, abs=1e-15)
-    assert out.position.y - 5.0 == pytest.approx(0.05233595624294383, abs=1e-15)
+    assert x - 5.0 == pytest.approx(0.9986295347545738, abs=1e-15)
+    assert y - 5.0 == pytest.approx(0.05233595624294383, abs=1e-15)
 
 
 def test_move_object_bias_accumulates_by_default():
-    out = move_object(obj_at(5.0, 5.0, 0.0), 3.0, BOUNDS, bias_mode="accumulate")
-    assert out.direction == pytest.approx(3.0)
-    twice = move_object(out, 3.0, BOUNDS, bias_mode="accumulate")
-    assert twice.direction == pytest.approx(6.0)
+    x, y, direction = move_object(5.0, 5.0, 0.0, 3.0, BOUNDS, accumulate=True)
+    assert direction == pytest.approx(3.0)
+    assert move_object(x, y, direction, 3.0, BOUNDS)[2] == pytest.approx(6.0)
 
 
 def test_move_object_fixed_bias_keeps_stored_heading():
-    out = move_object(obj_at(5.0, 5.0, 0.0), 3.0, BOUNDS, bias_mode="fixed")
-    assert out.direction == 0.0
+    _, y, direction = move_object(5.0, 5.0, 0.0, 3.0, BOUNDS, accumulate=False)
+    assert direction == 0.0
     # displacement still uses the biased heading
-    assert out.position.y - 5.0 == pytest.approx(0.05233595624294383, abs=1e-15)
+    assert y - 5.0 == pytest.approx(0.05233595624294383, abs=1e-15)
 
 
 def test_move_object_rejects_unknown_bias_mode():
+    # the mode is checked once per run, before any object moves
+    from twinsync.harness import StrategyStudyConfig, TwinRunConfig, run_paired, \
+        run_strategy_study
+
+    scene = make_scene([(0, 1.0, 1.0)], [(0, 5.0, 5.0, 0.0, True)])
     with pytest.raises(ValueError, match="bias mode"):
-        move_object(obj_at(5.0, 5.0, 0.0), 0.0, BOUNDS, bias_mode="wobble")
+        run_paired(TwinRunConfig(scene=scene, steps=5, bias_mode="wobble"))
+    with pytest.raises(ValueError, match="bias mode"):
+        run_strategy_study(StrategyStudyConfig(scene=scene, bias_mode="wobble"))
 
 
 def test_move_object_reflects_off_right_wall():
     # raw landing at x=50.5 mirrors back to 49.5 and flips the heading west
-    out = move_object(obj_at(49.5, 5.0, 0.0), 0.0, BOUNDS)
-    assert out.position.x == pytest.approx(49.5)
-    assert out.position.y == pytest.approx(5.0)
-    assert out.direction == pytest.approx(180.0)
+    x, y, direction = move_object(49.5, 5.0, 0.0, 0.0, BOUNDS)
+    assert x == pytest.approx(49.5)
+    assert y == pytest.approx(5.0)
+    assert direction == pytest.approx(180.0)
 
 
 def test_move_object_reflects_off_top_wall():
-    out = move_object(obj_at(5.0, 49.5, 90.0), 0.0, BOUNDS)
-    assert out.position.y == pytest.approx(49.5)
-    assert out.direction == pytest.approx(270.0)
+    _, y, direction = move_object(5.0, 49.5, 90.0, 0.0, BOUNDS)
+    assert y == pytest.approx(49.5)
+    assert direction == pytest.approx(270.0)
 
 
 def test_move_object_corner_double_reflection():
-    out = move_object(obj_at(49.9, 49.9, 45.0), 0.0, BOUNDS)
+    x, y, direction = move_object(49.9, 49.9, 45.0, 0.0, BOUNDS)
     leg = math.sqrt(2.0) / 2.0
-    assert out.position.x == pytest.approx(100.0 - (49.9 + leg))
-    assert out.position.y == pytest.approx(100.0 - (49.9 + leg))
-    assert out.direction == pytest.approx(225.0)
+    assert x == pytest.approx(100.0 - (49.9 + leg))
+    assert y == pytest.approx(100.0 - (49.9 + leg))
+    assert direction == pytest.approx(225.0)
 
 
 @given(
@@ -126,23 +142,23 @@ def test_move_object_corner_double_reflection():
     st.floats(0.0, 50.0),
     st.floats(-1e4, 1e4),
     st.floats(-10.0, 10.0),
-    st.sampled_from(["accumulate", "fixed"]),
+    st.booleans(),
 )
 @settings(max_examples=200, deadline=None)
-def test_move_object_stays_in_bounds(x, y, direction, bias, mode):
-    out = move_object(obj_at(x, y, direction), bias, BOUNDS, bias_mode=mode)
-    assert 0.0 <= out.position.x <= 50.0
-    assert 0.0 <= out.position.y <= 50.0
-    assert 0.0 <= out.direction < 360.0 or out.direction == pytest.approx(360.0)
-    assert math.isfinite(out.direction)
+def test_move_object_stays_in_bounds(x, y, direction, bias, accumulate):
+    x, y, direction = move_object(x, y, direction, bias, BOUNDS, accumulate)
+    assert 0.0 <= x <= 50.0
+    assert 0.0 <= y <= 50.0
+    assert 0.0 <= direction < 360.0 or direction == pytest.approx(360.0)
+    assert math.isfinite(direction)
 
 
 def test_move_object_long_run_keeps_invariants():
-    obj = obj_at(25.0, 25.0, 37.0)
+    x, y, direction = 25.0, 25.0, 37.0
     for _ in range(500):
-        obj = move_object(obj, 3.0, BOUNDS)
-        assert 0.0 <= obj.position.x <= 50.0
-        assert 0.0 <= obj.position.y <= 50.0
+        x, y, direction = move_object(x, y, direction, 3.0, BOUNDS)
+        assert 0.0 <= x <= 50.0
+        assert 0.0 <= y <= 50.0
 
 
 # ------------------------------------------------------------
@@ -155,23 +171,20 @@ def world_of(drones, objects, **params):
 
 
 def test_toggle_importance_flips_on_period():
-    world = world_of([(0, 1.0, 1.0)], [(0, 5.0, 5.0, 0.0, True), (1, 9.0, 9.0, 0.0, False)])
-    flipped = toggle_importance(world, 30, 30)
-    assert [o.important for o in flipped.objects] == [False, True]
-    # positions stay, so the sensing and the weights carry over unchanged
-    assert flipped.in_range is world.in_range and flipped.weights is world.weights
+    assert toggle_importance((True, False), 30, 30) == (False, True)
+    assert toggle_importance((True, False), 60, 30) == (False, True)
 
 
 def test_toggle_importance_leaves_other_steps_alone():
-    world = world_of([(0, 1.0, 1.0)], [(0, 5.0, 5.0, 0.0, True)])
-    assert toggle_importance(world, 0, 30) is world
-    assert toggle_importance(world, 31, 30) is world
+    flags = (True, False)
+    assert toggle_importance(flags, 0, 30) is flags
+    assert toggle_importance(flags, 31, 30) is flags
 
 
 def test_toggle_importance_validates_period():
-    world = world_of([(0, 1.0, 1.0)], [(0, 5.0, 5.0, 0.0, True)])
+    # the period is checked once, when the world is built
     with pytest.raises(ValueError, match="period"):
-        toggle_importance(world, 30, 0)
+        world_of([(0, 1.0, 1.0)], [(0, 5.0, 5.0, 0.0, True)], importance_period=0)
 
 
 def test_coverage_map_boundary_inclusive():
@@ -181,13 +194,13 @@ def test_coverage_map_boundary_inclusive():
         sensing_range=5.0,
     )
     assert world.in_range[:, 0].tolist() == [True, True, False]  # both at exactly 5
-    assert coverage_map(world).tolist() == [2, 0]
+    assert coverage_map(world) == (2, 0)
 
 
 def test_coverage_map_no_drones():
     world = world_of([], [(0, 5.0, 5.0, 0.0, True)])
     assert world.in_range.shape == (0, 1)
-    assert coverage_map(world).tolist() == [0]
+    assert coverage_map(world) == (0,)
 
 
 def test_utility_counts_k_covered_fraction():
@@ -214,10 +227,16 @@ def test_utility_requires_objects():
 
 def test_step_world_without_drones_moves_objects_only():
     world = world_of([], [(0, 5.0, 5.0, 0.0, True)])
-    stepped, actions = step_world(world, {})
+    stepped, actions = step_world(world, [], [])
     assert actions == ()
     assert stepped.time == 1
-    assert stepped.objects[0].position.x == pytest.approx(6.0)
+    assert stepped.object_x[0] == pytest.approx(6.0)
+
+
+def columns(world):
+    return (world.time, world.object_ids, world.object_x, world.object_y,
+            world.object_dir, world.important, world.drone_ids, world.drone_x,
+            world.drone_y, world.inbox, world.coverage)
 
 
 def test_step_world_is_pure_and_deterministic():
@@ -226,12 +245,12 @@ def test_step_world_is_pure_and_deterministic():
         objects=[(0, 12.0, 10.0, 0.0, True), (1, 40.0, 8.0, 90.0, False)],
     )
     w1, w2 = scene.build_world(), scene.build_world()
-    r1, r2 = agent_streams(7, [0, 1]), agent_streams(7, [0, 1])
-    for _ in range(20):
-        w1, a1 = step_world(w1, r1)
-        w2, a2 = step_world(w2, r2)
+    tapes = agent_streams(7, [0, 1], steps=20)
+    for t in range(20):
+        w1, a1 = run_steps(w1, tapes, 1, t0=t)
+        w2, a2 = run_steps(w2, tapes, 1, t0=t)
         assert a1 == a2
-    assert (w1.time, w1.objects, w1.drones) == (w2.time, w2.objects, w2.drones)
+    assert columns(w1) == columns(w2)
     assert np.array_equal(w1.weights, w2.weights)
     assert np.array_equal(w1.in_range, w2.in_range)
 
@@ -242,15 +261,15 @@ def test_step_world_counts_and_clock():
         objects=[(0, 12.0, 10.0, 0.0, True)],
     )
     world = scene.build_world()
-    rngs = agent_streams(3, [0, 1])
+    tapes = agent_streams(3, [0, 1], steps=40)
     for t in range(40):
         assert world.time == t
-        world, actions = step_world(world, rngs)
+        world, actions = run_steps(world, tapes, 1, t0=t)
         assert len(actions) == 2
-        assert len(world.drones) == 2
-        assert len(world.objects) == 1
-        assert all(0 <= d.position.x <= 50 and 0 <= d.position.y <= 50
-                   for d in world.drones)
+        assert len(world.drone_x) == len(world.drone_y) == len(world.inbox) == 2
+        assert len(world.object_x) == len(world.coverage) == 1
+        assert all(0 <= x <= 50 for x in world.drone_x)
+        assert all(0 <= y <= 50 for y in world.drone_y)
 
 
 def test_step_world_importance_flips_at_period():
@@ -260,11 +279,11 @@ def test_step_world_importance_flips_at_period():
         importance_period=5,
     )
     world = scene.build_world()
-    rngs = agent_streams(0, [0])
-    flags = [world.objects[0].important]
-    for _ in range(10):
-        world, _ = step_world(world, rngs)
-        flags.append(world.objects[0].important)
+    tapes = agent_streams(0, [0], steps=10)
+    flags = [world.important[0]]
+    for t in range(10):
+        world, _ = run_steps(world, tapes, 1, t0=t)
+        flags.append(world.important[0])
     # toggles when the post-step clock hits 5 and 10
     assert flags[:6] == [True] * 5 + [False]
     assert flags[6:] == [False] * 4 + [True]
@@ -280,47 +299,44 @@ def notify_scene():
 
 def test_step_world_delivers_messages_next_step():
     world = notify_scene().build_world()
-    rngs = agent_streams(1, [0, 1])
+    tapes = agent_streams(1, [0, 1], steps=2)
 
-    world, actions = step_world(world, rngs)
+    world, actions = run_steps(world, tapes, 1)
     assert actions[0].kind is ActionKind.NOTIFY_AND_FOLLOW
     assert actions[0].notified_drones == {1}
-    inbox = world.drones[1].inbox
-    assert len(inbox) == 1
-    # sentAt is the step before delivery
-    assert inbox[0] == (0, 0, Vec2(1.0, 0.0), world.time - 1)
+    # (sender index, object id, x, y): the object's position when sent
+    assert world.inbox == ((), ((0, 0, 1.0, 0.0),))
 
-    world2, actions2 = step_world(world, rngs)
+    world2, actions2 = run_steps(world, tapes, 1, t0=1)
     assert actions2[1].kind is ActionKind.RESPOND_AND_FOLLOW
     assert actions2[1].responded_to == 0
-    # the old message expired; the re-notification replaced it
-    inbox2 = world2.drones[1].inbox
-    assert [m.sent_at for m in inbox2] == [1]
+    # the old request expired; the re-notification replaced it
+    assert world2.inbox == ((), ((0, 0, world.object_x[0], world.object_y[0]),))
 
 
 def test_step_world_responder_moves_toward_advertised_position():
     world = notify_scene().build_world()
-    rngs = agent_streams(1, [0, 1])
-    world, _ = step_world(world, rngs)
-    before = world.drones[1].position
-    world, actions = step_world(world, rngs)
-    after = world.drones[1].position
+    tapes = agent_streams(1, [0, 1], steps=2)
+    world, _ = run_steps(world, tapes, 1)
+    before = (world.drone_x[1], world.drone_y[1])
+    world, actions = run_steps(world, tapes, 1, t0=1)
+    after = (world.drone_x[1], world.drone_y[1])
     assert actions[1].kind is ActionKind.RESPOND_AND_FOLLOW
-    moved = math.hypot(after.x - before.x, after.y - before.y)
+    moved = math.hypot(after[0] - before[0], after[1] - before[1])
     assert moved == pytest.approx(2.0)
     # strictly closer to the advertised object position (1, 0)
-    assert math.hypot(after.x - 1.0, after.y) < math.hypot(before.x - 1.0, before.y)
+    assert math.hypot(after[0] - 1.0, after[1]) < math.hypot(before[0] - 1.0, before[1])
 
 
 def test_step_world_random_walk_budget():
     scene = make_scene(drones=[(0, 25.0, 25.0)], objects=[(0, 5.0, 5.0, 0.0, False)])
     world = scene.build_world()
-    rngs = agent_streams(2, [0])
-    before = world.drones[0].position
-    world, actions = step_world(world, rngs)
+    world, actions = step_world(world, [0.5], [0.3])
     assert actions[0].kind is ActionKind.RANDOM_WALK
-    after = world.drones[0].position
-    assert math.hypot(after.x - before.x, after.y - before.y) == pytest.approx(5.0)
+    assert math.hypot(world.drone_x[0] - 25.0, world.drone_y[0] - 25.0) == pytest.approx(5.0)
+    # the walk draw is the heading as a fraction of a full turn
+    angle = math.degrees(math.atan2(world.drone_y[0] - 25.0, world.drone_x[0] - 25.0))
+    assert angle % 360.0 == pytest.approx(0.3 * 360.0)
 
 
 def test_step_world_evolves_pheromone_edges():
@@ -330,11 +346,11 @@ def test_step_world_evolves_pheromone_edges():
         objects=[(0, 1.0, 0.0, 90.0, True)],
     )
     world = scene.build_world()
-    rngs = agent_streams(5, [0, 1])
-    world, _ = step_world(world, rngs)
+    tapes = agent_streams(5, [0, 1], steps=2)
+    world, _ = run_steps(world, tapes, 1)
     assert world.weights[0, 1] == pytest.approx(1.0)
     assert world.weights[1, 0] == pytest.approx(1.0)
-    world, _ = step_world(world, rngs)
+    world, _ = run_steps(world, tapes, 1, t0=1)
     w01 = world.weights[0, 1]
     assert w01 == pytest.approx(0.9 + 1.0)
     assert not world.weights.flags.writeable
@@ -342,11 +358,77 @@ def test_step_world_evolves_pheromone_edges():
 
 def test_step_world_bias_only_affects_objects():
     scene = notify_scene()
-    w_plain = scene.build_world()
-    w_biased = scene.build_world()
-    r1 = agent_streams(4, [0, 1])
-    r2 = agent_streams(4, [0, 1])
-    w_plain, _ = step_world(w_plain, r1)
-    w_biased, _ = step_world(w_biased, r2, bias_degrees=3.0)
-    assert w_plain.drones == w_biased.drones
-    assert w_plain.objects != w_biased.objects
+    tapes = agent_streams(4, [0, 1], steps=1)
+    w_plain, _ = run_steps(scene.build_world(), tapes, 1)
+    w_biased, _ = run_steps(scene.build_world(), tapes, 1, bias_degrees=3.0)
+    assert (w_plain.drone_x, w_plain.drone_y) == (w_biased.drone_x, w_biased.drone_y)
+    assert w_plain.object_y != w_biased.object_y
+
+
+def test_step_world_columns_hold_python_scalars():
+    # per-entity math runs on Python floats; numpy scalars would slow it down
+    world, _ = run_steps(notify_scene().build_world(), agent_streams(1, [0, 1], steps=3), 3)
+    for name in ("object_ids", "drone_ids", "coverage"):
+        assert all(type(v) is int for v in getattr(world, name)), name
+    for name in ("object_x", "object_y", "object_dir", "drone_x", "drone_y"):
+        assert all(type(v) is float for v in getattr(world, name)), name
+    assert all(type(v) is bool for v in world.important)
+    requests = [r for box in world.inbox for r in box]
+    assert requests and all(tuple(map(type, r)) == (int, int, float, float) for r in requests)
+
+
+# ------------------------------------------------------------
+# The columnar step against the object-based reference
+# ------------------------------------------------------------
+
+
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    m=st.integers(1, 8),
+    n=st.integers(1, 10),
+    k=st.sampled_from([1, 2, 3]),
+    bias=st.sampled_from([0.0, 3.0, -7.5]),
+    bias_mode=st.sampled_from(["accumulate", "fixed"]),
+    steps=st.integers(50, 200),
+    period=st.integers(1, 40),
+)
+@settings(max_examples=40, deadline=None)
+def test_step_world_matches_object_reference(seed, m, n, k, bias, bias_mode, steps, period):
+    # A 30x30 field with range 8 makes co-coverage, notifications and
+    # responses common; small periods flip importance often.
+    rng = np.random.default_rng(seed)
+    scene = make_scene(
+        drones=[(int(i), float(rng.uniform(0, 30)), float(rng.uniform(0, 30)))
+                for i in rng.permutation(m)],
+        objects=[(int(i), float(rng.uniform(0, 30)), float(rng.uniform(0, 30)),
+                  float(rng.integers(4) * 90), bool(rng.integers(2)))
+                 for i in rng.permutation(n)],
+        width=30.0, height=30.0, sensing_range=8.0, k=k, importance_period=period,
+    )
+    world, ref = scene.build_world(), reference_build_world(scene)
+    ids = world.drone_ids
+    choice, walk = agent_streams(seed, ids, steps=steps)
+    streams = reference_agent_streams(seed, ids)
+    for t in range(steps):
+        world, actions = step_world(world, choice[t].tolist(), walk[t].tolist(),
+                                    bias_degrees=bias, bias_mode=bias_mode)
+        ref, ref_actions = reference_step(ref, streams, bias_degrees=bias,
+                                          bias_mode=bias_mode)
+        assert world.time == ref.time
+        assert world.object_ids == tuple(o.id for o in ref.objects)
+        assert world.object_x == tuple(o.position.x for o in ref.objects)
+        assert world.object_y == tuple(o.position.y for o in ref.objects)
+        assert world.object_dir == tuple(o.direction for o in ref.objects)
+        assert world.important == tuple(o.important for o in ref.objects)
+        assert world.drone_ids == tuple(d.id for d in ref.drones)
+        assert world.drone_x == tuple(d.position.x for d in ref.drones)
+        assert world.drone_y == tuple(d.position.y for d in ref.drones)
+        assert [[(ids[s], oid, x, y, t) for s, oid, x, y in box] for box in world.inbox] == \
+            [[(r.sender_id, r.object_id, *r.object_position, r.sent_at) for r in d.inbox]
+             for d in ref.drones]
+        assert world.weights.tobytes() == ref.weights.tobytes()
+        assert np.array_equal(world.in_range, ref.in_range)
+        assert world.coverage == tuple(ref.in_range.sum(axis=0).tolist())
+        assert [tuple(a) for a in actions] == [
+            (a.drone_id, a.kind, a.followed_object, a.notified_drones, a.responded_to)
+            for a in ref_actions]
