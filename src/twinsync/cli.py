@@ -19,7 +19,8 @@ import csv
 import math
 import os
 import sys
-from dataclasses import replace
+from contextlib import contextmanager
+from dataclasses import fields, replace
 from multiprocessing import Pool
 from pathlib import Path
 
@@ -35,6 +36,7 @@ from .harness import (
     CONDITIONS,
     STRATEGIES,
     STREAM_SCENE,
+    ConfigError,
     StrategyStudyConfig,
     TwinRunConfig,
     derive_rng,
@@ -52,6 +54,7 @@ from .model import (
     save_scene,
     validate_scene,
 )
+from .worldsim import BIAS_MODES
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -70,14 +73,14 @@ class UsageError(Exception):
 def generate_scene(
     n_drones: int,
     n_objects: int,
-    width: float = 50.0,
-    height: float = 50.0,
-    seed: int = 0,
-    k: int = 2,
-    sensing_range: float = 10.0,
-    gamma: float = 0.9,
-    delta: float = 1.0,
-    importance_period: int = 30,
+    width: float,
+    height: float,
+    seed: int,
+    k: int,
+    sensing_range: float,
+    gamma: float,
+    delta: float,
+    importance_period: int,
 ) -> SceneSpec:
     """Place drones and objects uniformly at random; deterministic per seed.
 
@@ -91,6 +94,8 @@ def generate_scene(
     bad = parameter_violations(params)
     if n_drones < 1 or n_objects < 1:
         bad.insert(0, "need at least one drone and one object")
+    if seed < 0:
+        bad.append(f"seed must be >= 0, got {seed}")
     if bad:
         raise ValueError("; ".join(bad))
     rng = derive_rng(seed, STREAM_SCENE)
@@ -150,23 +155,64 @@ def _add_scene_overrides(p: argparse.ArgumentParser) -> None:
                    help="steps between importance flips")
 
 
+def _flag(field: str) -> str:
+    return "--" + field.replace("_", "-")
+
+
+def _config_flags(p: argparse.ArgumentParser, config_type, specs: dict) -> None:
+    """One flag per config field, named after it and defaulting to its default."""
+    defaults = {f.name: f.default for f in fields(config_type)}
+    for field, (help_text, kwargs) in specs.items():
+        p.add_argument(_flag(field), default=defaults[field],
+                       help=f"{help_text} (default: %(default)s)", **kwargs)
+
+
+_SHARED_FLAGS = {
+    "condition": ("threat condition", {"choices": sorted(CONDITIONS)}),
+    "bias_mode": ("whether the heading bias compounds", {"choices": BIAS_MODES}),
+    "signed_noise": ("draw estimation noise from [-e, e] instead of [0, e]",
+                     {"action": "store_true"}),
+}
+
+_RUN_FLAGS = {
+    "q": ("checking interval", {"type": int}),
+    "l": ("window length", {"type": int}),
+    "steps": ("simulation steps", {"type": int}),
+    "seed": ("physical-side seed", {"type": int}),
+    "twin_seed": ("twin-side seed under divergence; None means seed + 1", {"type": int}),
+    "strategy": ("twin update strategy", {"choices": STRATEGIES}),
+    **_SHARED_FLAGS,
+}
+
+_STUDY_FLAGS = {
+    "samples": ("sampled start times per repeat", {"type": int}),
+    "repeats": ("physical trajectories", {"type": int}),
+    "seed": ("study seed", {"type": int}),
+    "accumulation": ("steps the clone drifts before the update", {"type": int}),
+    "evaluation": ("steps scored after the update", {"type": int}),
+    "start_min": ("earliest start time", {"type": int}),
+    "start_max": ("latest start time", {"type": int}),
+    "horizon": ("last step any episode may reach", {"type": int}),
+    **_SHARED_FLAGS,
+}
+
+
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scene", required=True, help="scene JSON file")
-    p.add_argument("--condition", choices=sorted(CONDITIONS), default="none",
-                   help="threat condition (default: none)")
-    p.add_argument("--q", type=int, default=1, help="checking interval (default: 1)")
-    p.add_argument("--l", type=int, default=1, help="window length (default: 1)")
-    p.add_argument("--steps", type=int, default=1000, help="simulation steps (default: 1000)")
-    p.add_argument("--seed", type=int, default=0, help="physical-side seed (default: 0)")
-    p.add_argument("--twin-seed", type=int, default=None,
-                   help="twin-side seed under divergence (default: seed+1)")
-    p.add_argument("--strategy", choices=STRATEGIES, default="update",
-                   help="twin update strategy (default: update)")
-    p.add_argument("--bias-mode", choices=("accumulate", "fixed"), default="accumulate",
-                   help="whether the heading bias compounds (default: accumulate)")
-    p.add_argument("--signed-noise", action="store_true",
-                   help="draw estimation noise from [-e, e] instead of [0, e]")
+    _config_flags(p, TwinRunConfig, _RUN_FLAGS)
     _add_scene_overrides(p)
+
+
+@contextmanager
+def _naming_flags(**flags: str):
+    """Turn a bad config field into a usage error naming its flag.
+
+    A field's flag is its name in dashes unless `flags` maps it elsewhere.
+    """
+    try:
+        yield
+    except ConfigError as exc:
+        raise UsageError(f"{flags.get(exc.field, _flag(exc.field))} {exc.problem}") from exc
 
 
 def _load_scene_for(args) -> tuple[SceneSpec, str]:
@@ -190,20 +236,6 @@ def _load_scene_for(args) -> tuple[SceneSpec, str]:
     return scene, path.stem
 
 
-def _jobs_from(args) -> int:
-    env = os.environ.get("TWINSYNC_JOBS")
-    if env is not None:  # env var wins over the flag
-        try:
-            jobs = int(env)
-        except ValueError:
-            raise UsageError(f"TWINSYNC_JOBS must be an integer, got {env!r}") from None
-    else:
-        jobs = args.jobs
-    if jobs < 1:
-        raise UsageError(f"jobs must be >= 1, got {jobs}")
-    return jobs
-
-
 def _pool_size(jobs: int, n_work: int) -> int:
     """Sweep worker processes: never more than the runs or the cores."""
     return min(jobs, n_work, os.cpu_count() or 1)
@@ -212,8 +244,7 @@ def _pool_size(jobs: int, n_work: int) -> int:
 def _write_csv(path: str, header, rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        if header:
-            writer.writerow(header)
+        writer.writerow(header)
         writer.writerows(rows)
 
 
@@ -243,47 +274,16 @@ def _cmd_gen_scene(args) -> int:
     return EXIT_OK
 
 
-def _run_config(args, scene: SceneSpec, name: str, checker: str, theta: float,
-                seed: int) -> TwinRunConfig:
-    return TwinRunConfig(
-        scene=scene,
-        scene_name=name,
-        condition=args.condition,
-        checker=checker,
-        theta=theta,
-        q=args.q,
-        l=args.l,
-        steps=args.steps,
-        seed=seed,
-        twin_seed=args.twin_seed,
-        strategy=args.strategy,
-        bias_mode=args.bias_mode,
-        signed_noise=args.signed_noise,
-    )
-
-
-def _validate_run_flags(args) -> None:
-    if args.q < 1:
-        raise UsageError(f"--q must be >= 1, got {args.q}")
-    if args.l < 1:
-        raise UsageError(f"--l must be >= 1, got {args.l}")
-    if args.steps < 1:
-        raise UsageError(f"--steps must be >= 1, got {args.steps}")
-
-
-def _reject_nan(thetas: list[float], flag: str) -> None:
-    # NaN compares false with every window sum, so the run would never update
-    if any(math.isnan(theta) for theta in thetas):
-        raise UsageError(f"{flag} must not be NaN")
+def _run_config(args, scene: SceneSpec, name: str, **per_run) -> TwinRunConfig:
+    """The run flags as a config; `per_run` adds the checker and theta, or overrides."""
+    flags = {field: getattr(args, field) for field in _RUN_FLAGS}
+    return TwinRunConfig(scene=scene, scene_name=name, **(flags | per_run))
 
 
 def _cmd_run(args) -> int:
-    _validate_run_flags(args)
-    _reject_nan([args.theta], "--theta")
     scene, name = _load_scene_for(args)
-    if args.checker == "action2" and scene.k < 2:
-        raise UsageError("checker action2 needs k >= 2")
-    config = _run_config(args, scene, name, args.checker, args.theta, args.seed)
+    with _naming_flags():
+        config = _run_config(args, scene, name, checker=args.checker, theta=args.theta)
     trace = run_paired(config)
     _write_csv(args.trace, ("t", "u_physical", "u_twin", "metric_value", "updated"),
                ((t, repr(up), repr(ut), repr(mv), upd) for t, up, ut, mv, upd in trace.rows()))
@@ -293,38 +293,35 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _sweep_worker(payload) -> tuple:
-    args_ns, scene, name, checker, theta, repeat = payload
-    config = _run_config(args_ns, scene, name, checker, theta, args_ns.seed + repeat)
+def _sweep_worker(work: tuple[TwinRunConfig, int]) -> tuple:
+    config, repeat = work
     return summary_row(run_paired(config), repeat=repeat)
 
 
 def _cmd_sweep(args) -> int:
-    _validate_run_flags(args)
     scene, name = _load_scene_for(args)
     checkers = [c.strip() for c in args.checkers.split(",") if c.strip()]
-    for c in checkers:
-        if c not in CHECKER_NAMES:
-            raise UsageError(f"unknown checker {c!r}")
-        if c == "action2" and scene.k < 2:
-            raise UsageError("checker action2 needs k >= 2")
     try:
         thetas = [float(x) for x in args.thetas.split(",") if x.strip()]
     except ValueError as exc:
-        raise UsageError(f"bad theta list: {exc}") from exc
-    _reject_nan(thetas, "--thetas")
+        raise UsageError(f"--thetas must list numbers: {exc}") from exc
     if not checkers or not thetas:
         raise UsageError("need at least one checker and one theta")
     if args.repeats < 1:
-        raise UsageError("repeats must be >= 1")
+        raise UsageError(f"--repeats must be >= 1, got {args.repeats}")
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
 
-    work = [
-        (args, scene, name, checker, theta, repeat)
-        for checker in checkers
-        for theta in thetas
-        for repeat in range(args.repeats)
-    ]
-    processes = _pool_size(_jobs_from(args), len(work))
+    # every config is built, and so checked, before the first run starts
+    with _naming_flags(checker="--checkers", theta="--thetas"):
+        work = [
+            (_run_config(args, scene, name, checker=checker, theta=theta,
+                         seed=args.seed + repeat), repeat)
+            for checker in checkers
+            for theta in thetas
+            for repeat in range(args.repeats)
+        ]
+    processes = _pool_size(args.jobs, len(work))
     if processes > 1:
         with Pool(processes=processes) as pool:
             rows = pool.map(_sweep_worker, work)  # map preserves submission order
@@ -355,25 +352,10 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_strategy_study(args) -> int:
     scene, name = _load_scene_for(args)
-    try:
-        config = StrategyStudyConfig(
-            scene=scene,
-            scene_name=name,
-            condition=args.condition,
-            samples=args.samples,
-            repeats=args.repeats,
-            seed=args.seed,
-            accumulation=args.accumulation,
-            evaluation=args.evaluation,
-            start_min=args.start_min,
-            start_max=args.start_max,
-            horizon=args.horizon,
-            bias_mode=args.bias_mode,
-            signed_noise=args.signed_noise,
-        )
-        result = run_strategy_study(config)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    with _naming_flags():
+        config = StrategyStudyConfig(scene=scene, scene_name=name,
+                                     **{field: getattr(args, field) for field in _STUDY_FLAGS})
+    result = run_strategy_study(config)
     rows = []
     for strategy in STRATEGIES:
         n = len(result.deviations[strategy])
@@ -386,7 +368,15 @@ def _cmd_strategy_study(args) -> int:
     return EXIT_OK
 
 
-def _read_solutions(path: str) -> list[dict]:
+_SOLUTION_NUMBERS = ("theta", "updates", "avg_utility_deviation")
+
+
+def _read_solutions(path: str) -> list[tuple[dict, float, SolutionPoint]]:
+    """Each solutions row with its theta and its (deviation, updates) point.
+
+    A value that is not a number is a usage error naming the file, the row
+    (the header is row 1) and the column.
+    """
     try:
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
@@ -397,7 +387,18 @@ def _read_solutions(path: str) -> list[dict]:
     missing = set(SUMMARY_HEADER) - set(rows[0])
     if missing:
         raise UsageError(f"{path} lacks columns: {', '.join(sorted(missing))}")
-    return rows
+    parsed = []
+    for number, row in enumerate(rows, start=2):
+        values = {}
+        for column in _SOLUTION_NUMBERS:
+            try:
+                values[column] = float(row[column])
+            except (TypeError, ValueError):  # a short row leaves None
+                raise UsageError(f"{path} row {number}: {column} must be a number, "
+                                 f"got {row[column]!r}") from None
+        parsed.append((row, values["theta"],
+                       SolutionPoint(values["avg_utility_deviation"], values["updates"])))
+    return parsed
 
 
 def _cmd_pareto(args) -> int:
@@ -405,12 +406,12 @@ def _cmd_pareto(args) -> int:
         raise UsageError(f"--max-updates must be finite and > 0, got {args.max_updates}")
     rows = _read_solutions(args.input)
     if args.scene is not None:
-        rows = [r for r in rows if r["scene"] == args.scene]
+        rows = [r for r in rows if r[0]["scene"] == args.scene]
     if args.condition is not None:
-        rows = [r for r in rows if r["condition"] == args.condition]
+        rows = [r for r in rows if r[0]["condition"] == args.condition]
     if not rows:
         raise UsageError("no rows left after filtering")
-    groups = {(r["scene"], r["condition"]) for r in rows}
+    groups = {(r["scene"], r["condition"]) for r, _, _ in rows}
     if len(groups) > 1:
         listing = "; ".join(f"{s}/{c}" for s, c in sorted(groups))
         raise UsageError(
@@ -418,42 +419,29 @@ def _cmd_pareto(args) -> int:
             "filter with --scene/--condition"
         )
 
-    baseline_rows = [r for r in rows if math.isinf(float(r["theta"]))]
-    if not baseline_rows:
+    baseline_devs = [p.dev for _, theta, p in rows if math.isinf(theta)]
+    if not baseline_devs:
         raise UsageError("no theta=inf baseline rows; sweep must include theta inf")
-    baseline = left_sum(float(r["avg_utility_deviation"]) for r in baseline_rows) / len(
-        baseline_rows
-    )
-    if baseline <= 0:
-        raise UsageError("baseline deviation is 0; nothing to normalize against")
+    baseline = left_sum(baseline_devs) / len(baseline_devs)
+    if not baseline > 0:  # NaN fails too
+        raise UsageError("baseline avg_utility_deviation (mean of the theta=inf rows) "
+                         f"must be > 0, got {baseline!r}")
 
     out_rows: list[tuple] = []
     hv_rows: list[tuple] = []
     excluded = 0
-    checkers = sorted({r["checker"] for r in rows})
-    for checker in checkers:
-        mine = [r for r in rows if r["checker"] == checker]
-        raw = [
-            SolutionPoint(float(r["avg_utility_deviation"]), float(r["updates"]))
-            for r in mine
-        ]
-        norm = normalize_solutions(raw, baseline, args.max_updates)
+    for checker in sorted({r["checker"] for r, _, _ in rows}):
+        mine = [(r, p) for r, _, p in rows if r["checker"] == checker]
+        norm = normalize_solutions([p for _, p in mine], baseline, args.max_updates)
         front = set(pareto_front(norm))
         boxed = [p for p in norm if p.dev <= 1.0 and p.upd <= 1.0]
         excluded += len(norm) - len(boxed)
-        hv = hypervolume2d(boxed)
-        for r, p in zip(mine, norm):
-            out_rows.append(
-                (checker, r["theta"], repr(p.dev), repr(p.upd),
-                 int(SolutionPoint(p.dev, p.upd) in front))
-            )
-        hv_rows.append(("hypervolume", checker, repr(hv)))
+        out_rows += [(checker, r["theta"], repr(p.dev), repr(p.upd), int(p in front))
+                     for (r, _), p in zip(mine, norm)]
+        hv_rows.append(("hypervolume", checker, repr(hypervolume2d(boxed))))
 
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("checker", "theta", "dev_norm", "upd_norm", "on_front"))
-        writer.writerows(out_rows)
-        writer.writerows(hv_rows)
+    _write_csv(args.out, ("checker", "theta", "dev_norm", "upd_norm", "on_front"),
+               out_rows + hv_rows)
     if excluded:
         print(f"note: {excluded} point(s) fell outside the reference box", file=sys.stderr)
     for _, checker, hv in hv_rows:
@@ -470,59 +458,54 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="twinsync", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
+    shown = " (default: %(default)s)"
 
     p = sub.add_parser("gen-scene", help="generate a random scene file")
     p.add_argument("--drones", type=int, required=True)
     p.add_argument("--objects", type=int, required=True)
-    p.add_argument("--width", type=float, default=50.0)
-    p.add_argument("--height", type=float, default=50.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--range", type=float, default=10.0, dest="sensing_range")
-    p.add_argument("--gamma", type=float, default=0.9)
-    p.add_argument("--delta", type=float, default=1.0)
-    p.add_argument("--importance-period", type=int, default=30)
+    p.add_argument("--width", type=float, default=50.0, help="arena width" + shown)
+    p.add_argument("--height", type=float, default=50.0, help="arena height" + shown)
+    p.add_argument("--seed", type=int, default=0, help="placement seed" + shown)
+    p.add_argument("--k", type=int, default=2, help="coverage requirement" + shown)
+    p.add_argument("--range", type=float, default=10.0, dest="sensing_range",
+                   help="sensing radius" + shown)
+    p.add_argument("--gamma", type=float, default=0.9, help="edge evaporation factor" + shown)
+    p.add_argument("--delta", type=float, default=1.0, help="edge reinforcement" + shown)
+    p.add_argument("--importance-period", type=int, default=30,
+                   help="steps between importance flips" + shown)
     p.add_argument("--out", required=True, help="output scene JSON path")
     p.set_defaults(func=_cmd_gen_scene)
 
     p = sub.add_parser("run", help="one paired run; writes trace and summary CSVs")
     _add_run_flags(p)
-    p.add_argument("--checker", choices=CHECKER_NAMES, default="state",
-                   help="equivalence checker (default: state)")
-    p.add_argument("--theta", type=float, default=math.inf,
-                   help="window-sum threshold; inf never updates, -1 forces updates")
-    p.add_argument("--trace", default="trace.csv", help="trace CSV path")
-    p.add_argument("--summary", default="summary.csv", help="summary CSV path")
+    _config_flags(p, TwinRunConfig, {
+        "checker": ("equivalence checker", {"choices": CHECKER_NAMES}),
+        "theta": ("window-sum threshold; inf never updates, -1 forces updates",
+                  {"type": float}),
+    })
+    p.add_argument("--trace", default="trace.csv", help="trace CSV path" + shown)
+    p.add_argument("--summary", default="summary.csv", help="summary CSV path" + shown)
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("sweep", help="threshold sweep; one summary row per (checker, theta, repeat)")
     _add_run_flags(p)
-    p.add_argument("--checkers", default="state,knowledge,action,action2",
-                   help="comma-separated checker list")
+    p.add_argument("--checkers", default=",".join(CHECKER_NAMES),
+                   help="comma-separated checker list" + shown)
     p.add_argument("--thetas", required=True, help="comma-separated threshold list (inf allowed)")
-    p.add_argument("--repeats", type=int, default=5, help="repeats per theta (default: 5)")
+    p.add_argument("--repeats", type=int, default=5,
+                   help="repeats per theta, at seeds seed, seed + 1, ..." + shown)
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                   help="worker processes (default: available cores; env TWINSYNC_JOBS overrides)")
-    p.add_argument("--out", default="solutions.csv", help="solutions CSV path")
+                   help="worker processes, at most one per run and core" + shown)
+    p.add_argument("--out", default="solutions.csv", help="solutions CSV path" + shown)
     p.add_argument("--means-out", default="",
                    help="optional second CSV with per-(checker, theta) means")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("strategy-study", help="compare update strategies on sampled drift episodes")
-    p.add_argument("--scene", required=True)
-    p.add_argument("--condition", choices=sorted(CONDITIONS), default="I")
-    p.add_argument("--samples", type=int, default=30)
-    p.add_argument("--repeats", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--accumulation", type=int, default=50)
-    p.add_argument("--evaluation", type=int, default=50)
-    p.add_argument("--start-min", type=int, default=1)
-    p.add_argument("--start-max", type=int, default=900)
-    p.add_argument("--horizon", type=int, default=1000)
-    p.add_argument("--bias-mode", choices=("accumulate", "fixed"), default="accumulate")
-    p.add_argument("--signed-noise", action="store_true")
+    p.add_argument("--scene", required=True, help="scene JSON file")
+    _config_flags(p, StrategyStudyConfig, _STUDY_FLAGS)
     _add_scene_overrides(p)
-    p.add_argument("--out", default="study.csv")
+    p.add_argument("--out", default="study.csv", help="study CSV path" + shown)
     p.set_defaults(func=_cmd_strategy_study)
 
     p = sub.add_parser("pareto", help="normalize solutions, mark the front, report hypervolume")
@@ -530,8 +513,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scene", default=None, help="filter rows to one scene name")
     p.add_argument("--condition", default=None, help="filter rows to one condition")
     p.add_argument("--max-updates", type=float, default=1000.0,
-                   help="update-count normalizer (default: 1000)")
-    p.add_argument("--out", default="pareto.csv")
+                   help="update-count normalizer" + shown)
+    p.add_argument("--out", default="pareto.csv", help="Pareto CSV path" + shown)
     p.set_defaults(func=_cmd_pareto)
 
     return parser

@@ -182,11 +182,3 @@ CHECKERS: dict[str, Checker] = {
 
 CHECKER_NAMES = tuple(CHECKERS)
 
-
-def get_checker(name: str) -> Checker:
-    try:
-        return CHECKERS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown checker {name!r}; expected one of {', '.join(CHECKERS)}"
-        ) from None

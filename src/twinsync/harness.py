@@ -5,12 +5,12 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .analysis import avg_utility_deviation, comparison_memory_cost, left_sum
-from .equivalence import get_checker, windowed_check
+from .equivalence import CHECKERS, windowed_check
 from .model import SceneSpec, WorldState, read_only
 from .agent import build_perceptions
 from .worldsim import BIAS_MODES, clamp_point, coverage_map, step_world, utility_k
@@ -40,27 +40,24 @@ def agent_streams(
     seed: int,
     drone_ids: Iterable[int],
     salt: tuple[int, ...] = (),
-    walk_seed: int | None = None,
     *,
     steps: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pre-drawn choice and walk tapes, each a (steps, m) float64 array.
+    channels: tuple[int, ...] = (CHANNEL_CHOICE, CHANNEL_WALK),
+) -> tuple[np.ndarray, ...]:
+    """Pre-drawn tapes, one (steps, m) float64 array per channel asked for.
 
     Column c of a tape holds the first `steps` uniforms of drone
     `drone_ids[c]`'s private stream for that channel, so row t is what the
-    fleet draws at its t-th step. `walk_seed` defaults to `seed`; passing a
-    different value keys only the choice channel to `seed`, which is how a
-    twin diverges on object picks while sampling the same movement noise as
-    its physical counterpart.
+    fleet draws at its t-th step. By default both tapes come back, choice
+    then walk; a twin under seed divergence asks for its choice tape alone
+    and shares its physical counterpart's walk tape.
     """
-    wseed = seed if walk_seed is None else walk_seed
     ids = list(drone_ids)
-    choice = np.empty((steps, len(ids)))
-    walk = np.empty((steps, len(ids)))
-    for c, i in enumerate(ids):
-        choice[:, c] = derive_rng(seed, STREAM_AGENT, *salt, i, CHANNEL_CHOICE).random(steps)
-        walk[:, c] = derive_rng(wseed, STREAM_AGENT, *salt, i, CHANNEL_WALK).random(steps)
-    return choice, walk
+    tapes = tuple(np.empty((steps, len(ids))) for _ in channels)
+    for tape, channel in zip(tapes, channels):
+        for c, i in enumerate(ids):
+            tape[:, c] = derive_rng(seed, STREAM_AGENT, *salt, i, channel).random(steps)
+    return tapes
 
 
 # ============================================================
@@ -177,15 +174,44 @@ def apply_update(twin: WorldState, snapshot: Snapshot, strategy: str) -> WorldSt
 # ============================================================
 
 
+class ConfigError(ValueError):
+    """A config field breaks its rule; the message starts with the field's name."""
+
+    def __init__(self, field: str, problem: str):
+        super().__init__(f"{field} {problem}")
+        self.field = field
+        self.problem = problem
+
+
+def _require(ok: bool, field: str, problem: str) -> None:
+    if not ok:
+        raise ConfigError(field, problem)
+
+
+def _one_of(config, field: str, options) -> None:
+    value = getattr(config, field)
+    _require(value in options, field, f"{value!r} is not a known {field.replace('_', ' ')}; "
+             f"expected one of {', '.join(options)}")
+
+
+def _at_least(config, field: str, low: int) -> None:
+    value = getattr(config, field)
+    _require(value >= low, field, f"must be >= {low}, got {value}")
+
+
 @dataclass(frozen=True)
 class TwinRunConfig:
-    """Everything a paired run needs; world parameters come from the scene."""
+    """Everything a paired run needs; world parameters come from the scene.
+
+    Every field is checked when the config is built, and a bad one raises
+    ConfigError naming it.
+    """
 
     scene: SceneSpec
     scene_name: str = "scene"
     condition: str = "none"
     checker: str = "state"
-    theta: float = math.inf
+    theta: float = math.inf  # inf never updates, -1 updates at every check
     q: int = 1
     l: int = 1
     steps: int = 1000
@@ -194,6 +220,21 @@ class TwinRunConfig:
     strategy: str = "update"
     bias_mode: str = "accumulate"
     signed_noise: bool = False
+
+    def __post_init__(self):
+        _one_of(self, "condition", CONDITIONS)
+        _one_of(self, "checker", CHECKERS)
+        _require(self.checker != "action2" or self.scene.k >= 2, "checker",
+                 f"action2 needs k >= 2, got k = {self.scene.k}")
+        # NaN compares false with every window sum, so the run would never update
+        _require(not math.isnan(self.theta), "theta", "must not be NaN")
+        for name in ("q", "l", "steps"):
+            _at_least(self, name, 1)
+        _at_least(self, "seed", 0)
+        if self.twin_seed is not None:
+            _at_least(self, "twin_seed", 0)
+        _one_of(self, "strategy", STRATEGIES)
+        _one_of(self, "bias_mode", BIAS_MODES)
 
 
 @dataclass
@@ -230,11 +271,6 @@ class Trace:
             )
 
 
-def _check_bias_mode(bias_mode: str) -> None:
-    if bias_mode not in BIAS_MODES:
-        raise ValueError(f"unknown bias mode {bias_mode!r}")
-
-
 def run_paired(config: TwinRunConfig) -> Trace:
     """Run physical and twin worlds in lockstep with checker-triggered updates.
 
@@ -248,33 +284,23 @@ def run_paired(config: TwinRunConfig) -> Trace:
     heading bias; only the twin agents' choice draws come from a different
     seed under seed divergence.
     """
-    threat = CONDITIONS.get(config.condition)
-    if threat is None:
-        raise ValueError(f"unknown condition {config.condition!r}")
-    checker = get_checker(config.checker)
-    if config.strategy not in STRATEGIES:
-        raise ValueError(f"unknown update strategy {config.strategy!r}")
-    if config.steps < 1:
-        raise ValueError(f"steps must be >= 1, got {config.steps}")
-    _check_bias_mode(config.bias_mode)
-
+    threat = CONDITIONS[config.condition]
+    checker = CHECKERS[config.checker]
     physical = config.scene.build_world()
     twin = config.scene.build_world()
     k = physical.params.k
-    if config.checker == "action2" and k < 2:
-        raise ValueError("checker action2 needs k >= 2")
     m, n_obj = len(physical.drone_ids), len(physical.object_ids)
 
     ids = physical.drone_ids
-    phys_choice, phys_walk = agent_streams(config.seed, ids, steps=config.steps)
+    phys_choice, walk = agent_streams(config.seed, ids, steps=config.steps)
     if threat.divergent_seeds:
         twin_base = config.twin_seed if config.twin_seed is not None else config.seed + 1
-        # Only the choice channel diverges; walks stay on the shared seed so
-        # a freshly re-synced twin keeps sampling the same wander angles.
-        twin_choice, twin_walk = agent_streams(
-            twin_base, ids, walk_seed=config.seed, steps=config.steps)
+        # Only the choice channel diverges; the walk tape is shared so a
+        # freshly re-synced twin keeps sampling the same wander angles.
+        (twin_choice,) = agent_streams(twin_base, ids, steps=config.steps,
+                                       channels=(CHANNEL_CHOICE,))
     else:
-        twin_choice, twin_walk = phys_choice, phys_walk
+        twin_choice = phys_choice
     noise_rng = derive_rng(config.seed, STREAM_NOISE)
 
     trace = Trace(config)
@@ -310,15 +336,15 @@ def run_paired(config: TwinRunConfig) -> Trace:
         trace.u_physical.append(utility_k(physical, k))
         trace.u_twin.append(utility_k(twin, k))
 
+        walks = walk[t].tolist()
         physical, prev_actions_phys = step_world(
             physical,
             phys_choice[t].tolist(),
-            phys_walk[t].tolist(),
+            walks,
             bias_degrees=threat.bias_degrees,
             bias_mode=config.bias_mode,
         )
-        twin, prev_actions_twin = step_world(
-            twin, twin_choice[t].tolist(), twin_walk[t].tolist())
+        twin, prev_actions_twin = step_world(twin, twin_choice[t].tolist(), walks)
 
     if config.checker == "action2":
         trace.memory_cost = action2_cost / config.steps
@@ -370,7 +396,10 @@ def summary_row(trace: Trace, repeat: int = 0) -> tuple:
 
 @dataclass(frozen=True)
 class StrategyStudyConfig:
-    """Clone-accumulate-update-evaluate experiment over sampled start times."""
+    """Clone-accumulate-update-evaluate experiment over sampled start times.
+
+    Every field is checked when the config is built, as in TwinRunConfig.
+    """
 
     scene: SceneSpec
     scene_name: str = "scene"
@@ -385,6 +414,19 @@ class StrategyStudyConfig:
     horizon: int = 1000
     bias_mode: str = "accumulate"
     signed_noise: bool = False
+
+    def __post_init__(self):
+        _one_of(self, "condition", CONDITIONS)
+        for name, low in (("samples", 1), ("repeats", 1), ("seed", 0),
+                          ("accumulation", 0), ("evaluation", 1), ("start_min", 0)):
+            _at_least(self, name, low)
+        _require(self.start_max >= self.start_min, "start_max",
+                 f"must be >= start_min {self.start_min}, got {self.start_max}")
+        run_to = self.start_max + self.accumulation + self.evaluation
+        _require(run_to <= self.horizon, "horizon",
+                 f"must cover start_max + accumulation + evaluation = {run_to}, "
+                 f"got {self.horizon}")
+        _one_of(self, "bias_mode", BIAS_MODES)
 
 
 @dataclass
@@ -402,10 +444,6 @@ class StrategyStudyResult:
         values = self.deviations[strategy]
         return statistics.stdev(values) if len(values) > 1 else 0.0
 
-    def stderr(self, strategy: str) -> float:
-        values = self.deviations[strategy]
-        return self.stdev(strategy) / math.sqrt(len(values)) if values else 0.0
-
 
 def run_strategy_study(config: StrategyStudyConfig) -> StrategyStudyResult:
     """Compare the three update strategies on identical drift episodes.
@@ -419,25 +457,9 @@ def run_strategy_study(config: StrategyStudyConfig) -> StrategyStudyResult:
     phase. Every strategy sees identical worlds, draws, and snapshot bytes
     at the branch point.
     """
-    threat = CONDITIONS.get(config.condition)
-    if threat is None:
-        raise ValueError(f"unknown condition {config.condition!r}")
-    if config.samples < 1 or config.repeats < 1:
-        raise ValueError("samples and repeats must be >= 1")
-    if config.accumulation < 0:
-        raise ValueError(f"accumulation must be >= 0, got {config.accumulation}")
-    if config.evaluation < 1:
-        raise ValueError(f"evaluation must be >= 1, got {config.evaluation}")
-    _check_bias_mode(config.bias_mode)
-    if not (0 <= config.start_min <= config.start_max):
-        raise ValueError("need 0 <= start_min <= start_max")
+    threat = CONDITIONS[config.condition]
     branch_steps = config.accumulation + config.evaluation
     run_to = config.start_max + branch_steps
-    if run_to > config.horizon:
-        raise ValueError(
-            f"start_max {config.start_max} + phases {config.accumulation}+"
-            f"{config.evaluation} overruns the horizon {config.horizon}"
-        )
 
     study_rng = derive_rng(config.seed, STREAM_STUDY)
     start_times = sorted(
@@ -458,8 +480,8 @@ def run_strategy_study(config: StrategyStudyConfig) -> StrategyStudyResult:
         choice, walk = agent_streams(config.seed, ids, salt=(rep,), steps=run_to)
         if threat.divergent_seeds:
             # every clone's choice channel restarts on the divergent seed
-            divergent = agent_streams(config.seed + 1, ids, salt=(rep,),
-                                      steps=branch_steps)[0]
+            (divergent,) = agent_streams(config.seed + 1, ids, salt=(rep,),
+                                         steps=branch_steps, channels=(CHANNEL_CHOICE,))
         noise_rng = derive_rng(config.seed, STREAM_NOISE, rep)
 
         u_phys = [utility_k(physical, k)]

@@ -38,21 +38,6 @@ class ActionRecord(NamedTuple):
 # ============================================================
 
 
-@dataclass(frozen=True)
-class WorldParams:
-    width: float
-    height: float
-    k: int
-    sensing_range: float
-    gamma: float  # edge evaporation factor per step
-    delta: float  # edge reinforcement per co-covered object, important or not
-    importance_period: int
-
-    @property
-    def bounds(self) -> tuple[float, float]:
-        return (self.width, self.height)
-
-
 def read_only(array: np.ndarray) -> np.ndarray:
     """Mark an array read-only and return it, so world states can share it."""
     array.flags.writeable = False
@@ -92,7 +77,7 @@ class WorldState:
     drone_x: tuple[float, ...]
     drone_y: tuple[float, ...]
     inbox: tuple[tuple[Request, ...], ...]
-    params: WorldParams
+    params: SceneSpec  # the scene the world was built from
     weights: np.ndarray
     in_range: np.ndarray
     coverage: tuple[int, ...]
@@ -131,6 +116,10 @@ class SceneSpec:
     drones: tuple[SceneDrone, ...]
     objects: tuple[SceneObject, ...]
 
+    @property
+    def bounds(self) -> tuple[float, float]:
+        return (self.width, self.height)
+
     def with_overrides(self, **kwargs) -> SceneSpec:
         """Return a copy with some world parameters replaced (None = keep)."""
         changes = {k: v for k, v in kwargs.items() if v is not None}
@@ -143,15 +132,6 @@ class SceneSpec:
         if self.importance_period < 1:
             raise ValueError(
                 f"importance period must be >= 1, got {self.importance_period}")
-        params = WorldParams(
-            width=self.width,
-            height=self.height,
-            k=self.k,
-            sensing_range=self.sensing_range,
-            gamma=self.gamma,
-            delta=self.delta,
-            importance_period=self.importance_period,
-        )
         drones = sorted(self.drones, key=lambda d: d.id)
         objects = sorted(self.objects, key=lambda o: o.id)
         drone_x = tuple(float(d.x) for d in drones)
@@ -171,7 +151,7 @@ class SceneSpec:
             drone_x=drone_x,
             drone_y=drone_y,
             inbox=((),) * len(drones),
-            params=params,
+            params=self,
             weights=read_only(np.zeros((len(drones), len(drones)))),
             in_range=in_range,
             coverage=coverage,

@@ -119,8 +119,8 @@ def step_world(
     channels, in drone order: the pick among sensed objects and the random
     walk heading. Every drone gets both, used or not, so two worlds stepped
     in lockstep stay draw-aligned no matter how their branches differ.
-    `bias_mode` is "accumulate" or "fixed" (see `move_object`); callers
-    validate it once per run.
+    `bias_mode` is "accumulate" or "fixed" (see `move_object`); the run
+    and study configs check it when they are built.
     """
     params = world.params
     bounds = params.bounds

@@ -176,15 +176,14 @@ class RefStreams(NamedTuple):
     walk: np.random.Generator
 
 
-def reference_agent_streams(seed, drone_ids, salt=(), walk_seed=None):
+def reference_agent_streams(seed, drone_ids, salt=()):
     """Per drone id, a choice and a walk generator keyed as the tapes are."""
     from twinsync.harness import CHANNEL_CHOICE, CHANNEL_WALK, STREAM_AGENT, derive_rng
 
-    wseed = seed if walk_seed is None else walk_seed
     return {
         i: RefStreams(
             derive_rng(seed, STREAM_AGENT, *salt, i, CHANNEL_CHOICE),
-            derive_rng(wseed, STREAM_AGENT, *salt, i, CHANNEL_WALK),
+            derive_rng(seed, STREAM_AGENT, *salt, i, CHANNEL_WALK),
         )
         for i in drone_ids
     }

@@ -1,6 +1,7 @@
 """End-to-end checks of the twinsync command line."""
 
 import csv
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 
 from twinsync import cli
 from twinsync.cli import main
+from twinsync.harness import StrategyStudyConfig, TwinRunConfig
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
@@ -172,17 +174,15 @@ def test_sweep_emits_one_row_per_cell(tmp_path):
     assert {r[2] for r in rows[1:]} == {"state", "knowledge"}
 
 
-def test_sweep_is_deterministic_across_worker_counts(tmp_path, monkeypatch):
+def test_sweep_is_deterministic_across_worker_counts(tmp_path):
     scene = gen_scene(tmp_path)
     serial = tmp_path / "serial.csv"
     pooled = tmp_path / "pooled.csv"
     base = ["sweep", "--scene", str(scene), "--condition", "I",
             "--checkers", "knowledge", "--thetas", "0,2", "--repeats", "2",
             "--steps", "15"]
-    monkeypatch.setenv("TWINSYNC_JOBS", "1")
-    assert main(base + ["--out", str(serial)]) == 0
-    monkeypatch.setenv("TWINSYNC_JOBS", "2")
-    assert main(base + ["--out", str(pooled)]) == 0
+    assert main(base + ["--jobs", "1", "--out", str(serial)]) == 0
+    assert main(base + ["--jobs", "2", "--out", str(pooled)]) == 0
     assert serial.read_bytes() == pooled.read_bytes()
 
 
@@ -283,13 +283,88 @@ def test_sweep_rejects_unknown_checker(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
-def test_sweep_rejects_bad_jobs_env(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("extra,named", [
+    (["--checkers", "state,bogus"], "--checkers 'bogus' is not a known checker"),
+    (["--checkers", "state,action2", "--k", "1"], "--checkers action2 needs k >= 2"),
+    (["--thetas", "0,nan"], "--thetas must not be NaN"),
+    (["--jobs", "0"], "--jobs must be >= 1"),
+])
+def test_sweep_with_a_bad_setting_starts_no_run(tmp_path, monkeypatch, capsys, extra, named):
+    runs = []
+    monkeypatch.setattr(cli, "run_paired", lambda config: runs.append(config))
     scene = gen_scene(tmp_path)
-    monkeypatch.setenv("TWINSYNC_JOBS", "many")
-    rc = main(["sweep", "--scene", str(scene), "--thetas", "0",
-               "--out", str(tmp_path / "x.csv")])
+    argv = ["sweep", "--scene", str(scene), "--checkers", "state", "--thetas", "0,inf",
+            "--steps", "5", "--jobs", "1", "--out", str(tmp_path / "x.csv")]
+    rc = main(argv + extra)
     assert rc == 1
-    assert "TWINSYNC_JOBS" in capsys.readouterr().err
+    assert named in capsys.readouterr().err
+    assert runs == []
+    assert not any(tmp_path.glob("*.csv"))
+
+
+# ------------------------------------------------------------
+# settings: one check and one default per config field
+# ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["run", "--steps", "5", "--seed", "-1"], "--seed must be >= 0, got -1"),
+    (["run", "--steps", "5", "--condition", "I", "--twin-seed", "-3"],
+     "--twin-seed must be >= 0, got -3"),
+    (["sweep", "--steps", "5", "--thetas", "0", "--seed", "-1"], "--seed must be >= 0, got -1"),
+    (["strategy-study", "--seed", "-2"], "--seed must be >= 0, got -2"),
+])
+def test_negative_seeds_exit_1_naming_the_seed(tmp_path, monkeypatch, capsys, argv, named):
+    monkeypatch.chdir(tmp_path)  # the default output paths land here
+    scene = gen_scene(tmp_path)
+    rc = main([*argv, "--scene", str(scene)])
+    assert rc == 1
+    assert named in capsys.readouterr().err
+    assert not any(tmp_path.glob("*.csv"))
+
+
+def test_gen_scene_rejects_a_negative_seed(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    rc = main(["gen-scene", "--drones", "3", "--objects", "4", "--seed", "-1",
+               "--out", str(out)])
+    assert rc == 1
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,config_type", [
+    ("run", TwinRunConfig), ("sweep", TwinRunConfig),
+    ("strategy-study", StrategyStudyConfig),
+])
+def test_flag_defaults_are_the_config_defaults(command, config_type):
+    args = cli.build_parser().parse_args([command, "--scene", "s.json", "--thetas", "0"]
+                                         if command == "sweep" else
+                                         [command, "--scene", "s.json"])
+    # every field but the scene's is a flag; the sweep lists checkers and thetas
+    skip = {"scene", "scene_name"} | ({"checker", "theta"} if command == "sweep" else set())
+    for f in dataclasses.fields(config_type):
+        if f.name not in skip:
+            assert getattr(args, f.name) == f.default, f.name
+
+
+@pytest.mark.parametrize("command,shown", [
+    ("gen-scene", ["arena width (default: 50.0)", "coverage requirement (default: 2)"]),
+    ("run", ["simulation steps (default: 1000)", "equivalence checker (default: state)",
+             "(default: inf)", "twin update strategy (default: update)"]),
+    ("sweep", ["checking interval (default: 1)",
+               "checker list (default: state,knowledge,action,action2)"]),
+    ("strategy-study", ["threat condition (default: I)",
+                        "steps scored after the update (default: 50)",
+                        "compounds (default: accumulate)"]),
+    ("pareto", ["update-count normalizer (default: 1000.0)"]),
+])
+def test_every_subcommand_help_renders_its_defaults(capsys, command, shown):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())  # undo line wrapping
+    for snippet in shown:
+        assert snippet in text
 
 
 # ------------------------------------------------------------
@@ -439,6 +514,34 @@ def test_pareto_rejects_zero_baseline(tmp_path, capsys):
     rc = main(["pareto", "--input", str(src), "--out", str(tmp_path / "f.csv")])
     assert rc == 1
     assert "baseline" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row,named", [
+    ("sA,I,state,0,1,1,100,0,x,0.01,10.0", "row 2: updates must be a number, got 'x'"),
+    ("sA,I,state,0,1,1,100", "row 2: updates must be a number, got None"),
+    ("sA,I,state,zero,1,1,100,0,5,0.01,10.0", "row 2: theta must be a number"),
+])
+def test_pareto_names_the_row_and_column_of_a_bad_value(tmp_path, capsys, row, named):
+    src = tmp_path / "sol.csv"
+    write_solutions(src, [row, "sA,I,state,inf,1,1,100,0,0,0.2,10.0"])
+    out = tmp_path / "f.csv"
+    rc = main(["pareto", "--input", str(src), "--out", str(out)])
+    assert rc == 1
+    assert f"{src} {named}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_pareto_rejects_a_nan_baseline(tmp_path, capsys):
+    src = tmp_path / "sol.csv"
+    write_solutions(src, [
+        "sA,I,state,0,1,1,100,0,500,0.01,10.0",
+        "sA,I,state,inf,1,1,100,0,0,nan,10.0",
+    ])
+    out = tmp_path / "f.csv"
+    rc = main(["pareto", "--input", str(src), "--out", str(out)])
+    assert rc == 1
+    assert "baseline avg_utility_deviation" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_pareto_rejects_missing_columns(tmp_path, capsys):

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from twinsync.equivalence import (
     CHECKER_NAMES,
+    CHECKERS,
     coarse_action_deviation,
     drift,
     fine_action_deviation,
-    get_checker,
     knowledge_vector,
     mean_fine_action_deviation,
     state_deviation,
@@ -374,11 +374,6 @@ def test_checker_names_are_complete():
     assert CHECKER_NAMES == ("state", "knowledge", "action", "action2")
 
 
-def test_get_checker_unknown_raises():
-    with pytest.raises(ValueError, match="unknown checker"):
-        get_checker("vibes")
-
-
 def test_checker_payloads_and_metrics_wire_up():
     scene = make_scene(
         drones=[(0, 1.0, 1.0), (1, 2.0, 2.0)],
@@ -389,21 +384,21 @@ def test_checker_payloads_and_metrics_wire_up():
     actions = (walk(0), walk(1))
     other = (walk(0), follow(1, 1))
 
-    state = get_checker("state")
+    state = CHECKERS["state"]
     assert state(world, world, actions, other, 2) == 0.0
     assert state(world, moved, actions, actions, 2) == state_deviation(
         state_vector(world), state_vector(moved)) == 5.0
 
-    knowledge = get_checker("knowledge")
+    knowledge = CHECKERS["knowledge"]
     assert knowledge(world, moved, actions, other, 2) == 0.0
     weighted, bare = world_with_weights({(0, 1): 2.5}), world_with_weights({})
     assert knowledge(weighted, bare, actions, actions, 2) == drift(
         knowledge_vector(weighted), knowledge_vector(bare)) == 2.5
 
-    action = get_checker("action")
+    action = CHECKERS["action"]
     assert action(world, moved, actions, actions, 2) == 0.0
     assert action(world, world, actions, other, 2) == 0.5
 
-    action2 = get_checker("action2")
+    action2 = CHECKERS["action2"]
     assert action2(world, moved, actions, actions, 2) == 0.0
     assert action2(world, world, actions, other, 2) == 0.5

@@ -9,6 +9,8 @@ import pytest
 import twinsync.harness as harness
 from twinsync.equivalence import state_vector, state_deviation, windowed_check
 from twinsync.harness import (
+    CHANNEL_CHOICE,
+    CHANNEL_WALK,
     CONDITIONS,
     STRATEGIES,
     StrategyStudyConfig,
@@ -74,19 +76,28 @@ def test_agent_streams_salt_changes_draws():
     assert plain[1][0, 0] != salted[1][0, 0]
 
 
-def test_agent_streams_walk_seed_rekeys_only_the_walk_channel():
-    mixed = agent_streams(9, [0], walk_seed=7, steps=3)
-    assert np.array_equal(mixed[0], agent_streams(9, [0], steps=3)[0])
-    assert np.array_equal(mixed[1], agent_streams(7, [0], steps=3)[1])
-    assert not np.array_equal(mixed[1], agent_streams(9, [0], steps=3)[1])
+def test_agent_streams_draw_only_the_channels_asked_for():
+    choice, walk = agent_streams(9, [0, 1], steps=3)
+    assert np.array_equal(
+        agent_streams(9, [0, 1], steps=3, channels=(CHANNEL_CHOICE,))[0], choice)
+    assert np.array_equal(
+        agent_streams(9, [0, 1], steps=3, channels=(CHANNEL_WALK,))[0], walk)
+    assert len(agent_streams(9, [0, 1], steps=3, channels=(CHANNEL_CHOICE,))) == 1
 
 
-@pytest.mark.parametrize("salt,walk_seed", [((), None), ((3,), None), ((), 11)])
-def test_agent_stream_tapes_equal_scalar_draws(salt, walk_seed):
-    # row t, column c is the t-th scalar draw of drone ids[c]'s generator
+@pytest.mark.parametrize("salt,twin_seed", [((), None), ((3,), None), ((), 11)])
+def test_agent_stream_tapes_equal_scalar_draws(salt, twin_seed):
+    # row t, column c is the t-th scalar draw of drone ids[c]'s generator; a
+    # divergent twin draws its choice tape alone, from its own seed, and
+    # reads the physical walk tape
     ids, steps = [4, 0, 9], 300
-    choice, walk = agent_streams(5, ids, salt=salt, walk_seed=walk_seed, steps=steps)
-    streams = reference_agent_streams(5, ids, salt=salt, walk_seed=walk_seed)
+    choice, walk = agent_streams(5, ids, salt=salt, steps=steps)
+    streams = reference_agent_streams(5, ids, salt=salt)
+    if twin_seed is not None:
+        (choice,) = agent_streams(twin_seed, ids, salt=salt, steps=steps,
+                                  channels=(CHANNEL_CHOICE,))
+        twin_streams = reference_agent_streams(twin_seed, ids, salt=salt)
+        streams = {i: streams[i]._replace(choice=twin_streams[i].choice) for i in ids}
     for t in range(steps):
         assert choice[t].tolist() == [float(streams[i].choice.random()) for i in ids]
         assert walk[t].tolist() == [float(streams[i].walk.random()) for i in ids]
@@ -329,7 +340,8 @@ def test_run_paired_free_twin_matches_standalone_run():
     trace = run_paired(run_config(condition="I", theta=math.inf, steps=40))
     twin = SMALL.build_world()
     # divergence re-keys choice draws to seed + 1; walks stay on the run seed
-    choice, walk = agent_streams(6, twin.drone_ids, walk_seed=5, steps=40)
+    (choice,) = agent_streams(6, twin.drone_ids, steps=40, channels=(CHANNEL_CHOICE,))
+    _, walk = agent_streams(5, twin.drone_ids, steps=40)
     oracle = []
     for t in range(40):
         oracle.append(utility_k(twin, SMALL.k))
@@ -427,8 +439,20 @@ def test_run_paired_validates_config():
         run_paired(run_config(steps=0))
     low_k = make_scene(drones=[(0, 1.0, 1.0), (1, 2.0, 2.0)],
                        objects=[(0, 5.0, 5.0, 0.0, True)], k=1)
-    with pytest.raises(ValueError, match="k >= 2"):
+    with pytest.raises(ValueError, match="^checker action2 needs k >= 2"):
         run_paired(TwinRunConfig(scene=low_k, checker="action2", steps=5))
+
+
+@pytest.mark.parametrize("field,value", [
+    ("condition", "III"), ("checker", "vibes"), ("theta", math.nan), ("q", 0), ("l", 0),
+    ("steps", 0), ("seed", -1), ("twin_seed", -3), ("strategy", "merge"),
+    ("bias_mode", "sideways"),
+])
+def test_run_config_names_each_bad_field(field, value):
+    with pytest.raises(harness.ConfigError, match=f"^{field} ") as exc:
+        TwinRunConfig(scene=SMALL, **{field: value})
+    assert isinstance(exc.value, ValueError)
+    assert exc.value.field == field
 
 
 def test_run_paired_memory_cost_matches_method():
@@ -449,7 +473,8 @@ def test_run_paired_action2_memory_cost_is_the_mean_of_step_costs():
                                   steps=40))
     physical, twin = SMALL.build_world(), SMALL.build_world()
     phys_choice, walk = agent_streams(5, physical.drone_ids, steps=40)
-    twin_choice, _ = agent_streams(6, physical.drone_ids, walk_seed=5, steps=40)
+    (twin_choice,) = agent_streams(6, physical.drone_ids, steps=40,
+                                   channels=(CHANNEL_CHOICE,))
     prev_p, prev_t, costs = (), (), []
     for t in range(40):
         costs.append(comparison_memory_cost(
@@ -524,6 +549,17 @@ def test_study_validates_inputs():
         run_strategy_study(study_config(start_min=-1))
 
 
+@pytest.mark.parametrize("field,value", [
+    ("condition", "X"), ("samples", 0), ("repeats", 0), ("seed", -2), ("accumulation", -1),
+    ("evaluation", 0), ("start_min", -1), ("start_max", 0), ("horizon", 79),
+    ("bias_mode", "sideways"),
+])
+def test_study_config_names_each_bad_field(field, value):
+    with pytest.raises(harness.ConfigError, match=f"^{field} ") as exc:
+        study_config(**{field: value})
+    assert exc.value.field == field
+
+
 def test_study_shapes_and_stats():
     result = run_strategy_study(study_config(samples=3, repeats=2))
     assert set(result.deviations) == set(STRATEGIES)
@@ -531,8 +567,6 @@ def test_study_shapes_and_stats():
         values = result.deviations[strategy]
         assert len(values) == 6
         assert all(v >= 0.0 for v in values)
-        assert result.stderr(strategy) == pytest.approx(
-            result.stdev(strategy) / math.sqrt(6))
     assert len(result.start_times) == 3
     assert all(1 <= s <= 40 for s in result.start_times)
 
@@ -560,6 +594,23 @@ def test_study_is_reproducible():
     assert a.start_times == b.start_times
 
 
+def test_divergent_twins_draw_no_tape_they_discard(monkeypatch):
+    # the twin's walk rows are the physical tape's, so only its choice tape is drawn
+    drawn = []
+
+    def recording(seed, ids, salt=(), *, steps, channels=(CHANNEL_CHOICE, CHANNEL_WALK)):
+        drawn.append((seed, channels))
+        return agent_streams(seed, ids, salt, steps=steps, channels=channels)
+
+    monkeypatch.setattr(harness, "agent_streams", recording)
+    both = (CHANNEL_CHOICE, CHANNEL_WALK)
+    run_paired(run_config(condition="I", steps=5))
+    assert drawn == [(5, both), (6, (CHANNEL_CHOICE,))]
+    drawn.clear()
+    run_strategy_study(study_config(condition="I"))
+    assert drawn == [(3, both), (4, (CHANNEL_CHOICE,))]
+
+
 @pytest.mark.parametrize("condition", ["I", "II"])
 def test_study_clones_read_the_tapes_at_their_offsets(monkeypatch, condition):
     # The physical world reads tape row t at time t. A clone at `start`, and
@@ -579,7 +630,8 @@ def test_study_clones_read_the_tapes_at_their_offsets(monkeypatch, condition):
     run_to = config.start_max + branch_steps
     ids = tuple(sorted(d.id for d in SMALL.drones))
     choice, walk = agent_streams(config.seed, ids, salt=(0,), steps=run_to)
-    divergent = agent_streams(config.seed + 1, ids, salt=(0,), steps=branch_steps)[0]
+    (divergent,) = agent_streams(config.seed + 1, ids, salt=(0,), steps=branch_steps,
+                                 channels=(CHANNEL_CHOICE,))
 
     assert calls[:run_to] == [(t, choice[t].tolist(), walk[t].tolist()) for t in range(run_to)]
     per_start = config.accumulation + len(STRATEGIES) * config.evaluation

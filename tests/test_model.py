@@ -14,7 +14,6 @@ from twinsync.model import (
     SceneDrone,
     SceneObject,
     SceneSpec,
-    WorldParams,
     decode_scene,
     encode_scene,
     load_scene,
@@ -73,9 +72,11 @@ def test_build_world_starts_fresh():
     assert world.important[0] is True
 
 
-def test_world_params_bounds():
-    p = WorldParams(50.0, 30.0, 2, 10.0, 0.9, 1.0, 30)
-    assert p.bounds == (50.0, 30.0)
+def test_world_params_are_the_scene_with_its_bounds():
+    scene = make_scene(drones=[(0, 1.0, 2.0)], objects=[(0, 5.0, 5.0, 0.0, True)],
+                       width=50.0, height=30.0)
+    assert scene.bounds == (50.0, 30.0)
+    assert scene.build_world().params is scene
 
 
 def test_with_overrides_keeps_none_and_replaces_rest():
