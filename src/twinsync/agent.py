@@ -79,9 +79,8 @@ def decide(
             return action, target, notify
         return ActionRecord(ids[i], ActionKind.FOLLOW, world.object_ids[j]), target, []
 
-    request = select_response(world.inbox[i], world.weights[i].tolist())
-    if request is not None:
-        sender, object_id, x, y = request
+    if world.inbox[i]:
+        sender, object_id, x, y = select_response(world.inbox[i], world.weights[i].tolist())
         action = ActionRecord(ids[i], ActionKind.RESPOND_AND_FOLLOW, object_id,
                               frozenset(), ids[sender])
         return action, (x, y, RESPOND_DISTANCE), []

@@ -111,7 +111,7 @@ def comparison_memory_cost(
     n_obj: int,
     *,
     k: int | None = None,
-    step_kinds: tuple[Sequence[str], Sequence[str]] | None = None,
+    step_kinds: tuple[Iterable[str], Iterable[str]] | None = None,
 ) -> float:
     """Scalars a checker must retain per step, counting both worlds.
 

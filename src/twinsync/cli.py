@@ -92,8 +92,10 @@ def generate_scene(
     params = SceneSpec(width, height, k, sensing_range, gamma, delta,
                        importance_period, drones=(), objects=())
     bad = parameter_violations(params)
-    if n_drones < 1 or n_objects < 1:
-        bad.insert(0, "need at least one drone and one object")
+    if n_drones < 2:  # knowledge is an edge between two drones
+        bad.append(f"drones must be >= 2, got {n_drones}")
+    if n_objects < 1:
+        bad.append(f"objects must be >= 1, got {n_objects}")
     if seed < 0:
         bad.append(f"seed must be >= 0, got {seed}")
     if bad:
@@ -144,15 +146,31 @@ def _join_dash_values(argv: list[str]) -> list[str]:
     return out
 
 
-def _add_scene_overrides(p: argparse.ArgumentParser) -> None:
-    g = p.add_argument_group("scene parameter overrides (default: scene file values)")
-    g.add_argument("--k", type=int, default=None, help="coverage requirement")
-    g.add_argument("--range", type=float, default=None, dest="sensing_range",
-                   help="sensing radius")
-    g.add_argument("--gamma", type=float, default=None, help="edge evaporation factor")
-    g.add_argument("--delta", type=float, default=None, help="edge reinforcement")
-    g.add_argument("--importance-period", type=int, default=None,
-                   help="steps between importance flips")
+# The scene's world parameters as flags: (flag, SceneSpec field, type, help).
+_SCENE_FLAGS = (
+    ("--k", "k", int, "coverage requirement"),
+    ("--range", "sensing_range", float, "sensing radius"),
+    ("--gamma", "gamma", float, "edge evaporation factor"),
+    ("--delta", "delta", float, "edge reinforcement"),
+    ("--importance-period", "importance_period", int, "steps between importance flips"),
+)
+
+
+def _add_scene_flags(p: argparse.ArgumentParser, defaults: dict | None) -> None:
+    """Declare the scene parameter flags with gen-scene's defaults, or with
+    None (keep the scene file's value) when they override a loaded scene."""
+    if defaults is None:
+        p = p.add_argument_group("scene parameter overrides (default: scene file values)")
+        defaults, shown = {}, ""
+    else:
+        shown = " (default: %(default)s)"
+    for flag, field, kind, help_text in _SCENE_FLAGS:
+        p.add_argument(flag, dest=field, type=kind, default=defaults.get(field),
+                       help=help_text + shown)
+
+
+def _scene_flag_values(args) -> dict:
+    return {field: getattr(args, field) for _, field, _, _ in _SCENE_FLAGS}
 
 
 def _flag(field: str) -> str:
@@ -178,8 +196,7 @@ _RUN_FLAGS = {
     "q": ("checking interval", {"type": int}),
     "l": ("window length", {"type": int}),
     "steps": ("simulation steps", {"type": int}),
-    "seed": ("physical-side seed", {"type": int}),
-    "twin_seed": ("twin-side seed under divergence; None means seed + 1", {"type": int}),
+    "seed": ("physical-side seed; a divergent twin's choices use seed + 1", {"type": int}),
     "strategy": ("twin update strategy", {"choices": STRATEGIES}),
     **_SHARED_FLAGS,
 }
@@ -200,7 +217,7 @@ _STUDY_FLAGS = {
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scene", required=True, help="scene JSON file")
     _config_flags(p, TwinRunConfig, _RUN_FLAGS)
-    _add_scene_overrides(p)
+    _add_scene_flags(p, None)
 
 
 @contextmanager
@@ -223,13 +240,7 @@ def _load_scene_for(args) -> tuple[SceneSpec, str]:
         raise UsageError(f"cannot read scene file: {exc}") from exc
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    scene = scene.with_overrides(
-        k=args.k,
-        sensing_range=args.sensing_range,
-        gamma=args.gamma,
-        delta=args.delta,
-        importance_period=args.importance_period,
-    )
+    scene = scene.with_overrides(**_scene_flag_values(args))
     violations = validate_scene(scene)
     if violations:
         raise UsageError("invalid scene after overrides: " + "; ".join(violations))
@@ -255,18 +266,9 @@ def _write_csv(path: str, header, rows) -> None:
 
 def _cmd_gen_scene(args) -> int:
     try:
-        scene = generate_scene(
-            args.drones,
-            args.objects,
-            width=args.width,
-            height=args.height,
-            seed=args.seed,
-            k=args.k,
-            sensing_range=args.sensing_range,
-            gamma=args.gamma,
-            delta=args.delta,
-            importance_period=args.importance_period,
-        )
+        scene = generate_scene(args.drones, args.objects, width=args.width,
+                               height=args.height, seed=args.seed,
+                               **_scene_flag_values(args))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     save_scene(scene, args.out)
@@ -329,24 +331,6 @@ def _cmd_sweep(args) -> int:
         rows = [_sweep_worker(item) for item in work]
     _write_csv(args.out, SUMMARY_HEADER, rows)
     print(f"wrote {args.out}: {len(rows)} rows")
-    if args.means_out:
-        named = [dict(zip(SUMMARY_HEADER, r)) for r in rows]
-        groups: dict[tuple, list[dict]] = {}
-        for r in named:
-            groups.setdefault((r["checker"], r["theta"]), []).append(r)
-        mean_rows = []
-        for (checker, theta), members in groups.items():
-            n = len(members)
-            mean_rows.append((
-                members[0]["scene"], members[0]["condition"], checker, theta, n,
-                repr(sum(int(m["updates"]) for m in members) / n),
-                repr(left_sum(float(m["avg_utility_deviation"]) for m in members) / n),
-            ))
-        _write_csv(args.means_out,
-                   ("scene", "condition", "checker", "theta", "n",
-                    "mean_updates", "mean_avg_utility_deviation"),
-                   mean_rows)
-        print(f"wrote {args.means_out}: {len(mean_rows)} rows")
     return EXIT_OK
 
 
@@ -466,13 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width", type=float, default=50.0, help="arena width" + shown)
     p.add_argument("--height", type=float, default=50.0, help="arena height" + shown)
     p.add_argument("--seed", type=int, default=0, help="placement seed" + shown)
-    p.add_argument("--k", type=int, default=2, help="coverage requirement" + shown)
-    p.add_argument("--range", type=float, default=10.0, dest="sensing_range",
-                   help="sensing radius" + shown)
-    p.add_argument("--gamma", type=float, default=0.9, help="edge evaporation factor" + shown)
-    p.add_argument("--delta", type=float, default=1.0, help="edge reinforcement" + shown)
-    p.add_argument("--importance-period", type=int, default=30,
-                   help="steps between importance flips" + shown)
+    _add_scene_flags(p, {"k": 2, "sensing_range": 10.0, "gamma": 0.9, "delta": 1.0,
+                         "importance_period": 30})
     p.add_argument("--out", required=True, help="output scene JSON path")
     p.set_defaults(func=_cmd_gen_scene)
 
@@ -497,14 +476,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
                    help="worker processes, at most one per run and core" + shown)
     p.add_argument("--out", default="solutions.csv", help="solutions CSV path" + shown)
-    p.add_argument("--means-out", default="",
-                   help="optional second CSV with per-(checker, theta) means")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("strategy-study", help="compare update strategies on sampled drift episodes")
     p.add_argument("--scene", required=True, help="scene JSON file")
     _config_flags(p, StrategyStudyConfig, _STUDY_FLAGS)
-    _add_scene_overrides(p)
+    _add_scene_flags(p, None)
     p.add_argument("--out", default="study.csv", help="study CSV path" + shown)
     p.set_defaults(func=_cmd_strategy_study)
 

@@ -13,7 +13,7 @@ from .analysis import avg_utility_deviation, comparison_memory_cost, left_sum
 from .equivalence import CHECKERS, windowed_check
 from .model import SceneSpec, WorldState, read_only
 from .agent import build_perceptions
-from .worldsim import BIAS_MODES, clamp_point, coverage_map, step_world, utility_k
+from .worldsim import BIAS_MODES, clamp_point, step_world, utility_k
 
 # ============================================================
 # Randomness plumbing
@@ -87,86 +87,55 @@ CONDITIONS: dict[str, ThreatConfig] = {
 # ============================================================
 
 
-@dataclass(frozen=True, eq=False)
-class Snapshot:
-    """What the physical side reports when the twin asks for a resync.
-
-    Everything but object positions is reported exactly, so the snapshot
-    shares the physical world instead of copying it. `object_x`/`object_y`
-    are the reported positions, and `estimated[j]` is True where object j's
-    position is a noisy estimate, not a measurement.
-    """
-
-    physical: WorldState
-    object_x: tuple[float, ...]
-    object_y: tuple[float, ...]
-    estimated: tuple[bool, ...]
-
-
 def sense_snapshot(
     physical: WorldState,
     threat: ThreatConfig,
     rng: np.random.Generator,
     signed_noise: bool = False,
-) -> Snapshot:
-    """Capture the physical world for an update.
+) -> WorldState:
+    """The world the physical side reports when the twin asks for a resync.
 
-    Under a sensor-limited threat, objects nobody currently covers get their
-    position estimated with per-coordinate noise (U[0, e] by default,
-    U[-e, e] when signed), drawn x then y in object order, clamped into
-    bounds and flagged. Directions, importance, inboxes, and edge weights
-    are reported exactly.
+    Everything is reported exactly, so the snapshot is the physical world
+    itself, unless a sensor-limited threat has objects nobody covers. Those
+    get their position estimated with per-coordinate noise (U[0, e] by
+    default, U[-e, e] when signed), drawn x then y in object order and
+    clamped into bounds; the snapshot is then the physical world with the
+    reported positions, sensed once there.
     """
-    if not threat.sensor_limited:
-        exact = (False,) * len(physical.object_ids)
-        return Snapshot(physical, physical.object_x, physical.object_y, exact)
+    if not threat.sensor_limited or all(physical.coverage):
+        return physical
     e = threat.estimation_error_max
     lo = -e if signed_noise else 0.0
     bounds = physical.params.bounds
-    object_x, object_y, estimated = [], [], []
-    for x, y, count in zip(physical.object_x, physical.object_y, coverage_map(physical)):
+    object_x, object_y = list(physical.object_x), list(physical.object_y)
+    for j, count in enumerate(physical.coverage):
         if count == 0:
-            x, y = clamp_point(x + rng.uniform(lo, e), y + rng.uniform(lo, e), bounds)
-        object_x.append(x)
-        object_y.append(y)
-        estimated.append(count == 0)
-    return Snapshot(physical, tuple(object_x), tuple(object_y), tuple(estimated))
+            object_x[j], object_y[j] = clamp_point(
+                object_x[j] + rng.uniform(lo, e), object_y[j] + rng.uniform(lo, e), bounds)
+    in_range, coverage = build_perceptions(
+        physical.drone_x, physical.drone_y, object_x, object_y, physical.params.sensing_range)
+    return replace(physical, object_x=tuple(object_x), object_y=tuple(object_y),
+                   in_range=in_range, coverage=coverage)
 
 
 STRATEGIES = ("update", "keep", "clear")
 
 
-def apply_update(twin: WorldState, snapshot: Snapshot, strategy: str) -> WorldState:
-    """Overwrite the twin from a snapshot.
+def apply_update(twin: WorldState, snapshot: WorldState, strategy: str) -> WorldState:
+    """The twin after a resync from a snapshot: the snapshot with a chosen weight matrix.
 
-    All strategies replace positions, directions, importance flags, and
-    inboxes, and take the sensing of the reported positions. They differ on
-    the weight matrix: "update" takes the snapshot's, "keep" leaves the
-    twin's own in place (both shared, not copied), "clear" zeroes every edge.
-    Agent draw tapes are never touched.
+    "update" takes the snapshot's weights, "keep" the twin's own (both
+    shared, not copied), and "clear" zeroes every edge. Everything else,
+    sensing included, is the snapshot's. Agent draw tapes are never touched.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown update strategy {strategy!r}")
-    physical = snapshot.physical
-    if physical.time != twin.time:
-        raise ValueError(
-            f"snapshot time {physical.time} does not match twin time {twin.time}"
-        )
+    if snapshot.time != twin.time:
+        raise ValueError(f"snapshot time {snapshot.time} does not match twin time {twin.time}")
     if strategy == "update":
-        weights = physical.weights
-    elif strategy == "keep":
-        weights = twin.weights
-    else:
-        weights = read_only(np.zeros_like(twin.weights))
-    if any(snapshot.estimated):
-        in_range, coverage = build_perceptions(
-            physical.drone_x, physical.drone_y, snapshot.object_x, snapshot.object_y,
-            twin.params.sensing_range)
-    else:  # the physical positions, already sensed
-        in_range, coverage = physical.in_range, physical.coverage
-    return replace(physical, object_x=snapshot.object_x, object_y=snapshot.object_y,
-                   params=twin.params, weights=weights, in_range=in_range,
-                   coverage=coverage)
+        return snapshot
+    weights = twin.weights if strategy == "keep" else read_only(np.zeros_like(twin.weights))
+    return replace(snapshot, weights=weights)
 
 
 # ============================================================
@@ -215,8 +184,7 @@ class TwinRunConfig:
     q: int = 1
     l: int = 1
     steps: int = 1000
-    seed: int = 0
-    twin_seed: int | None = None  # defaults to seed + 1 when divergence is on
+    seed: int = 0  # a divergent twin draws its choices from seed + 1
     strategy: str = "update"
     bias_mode: str = "accumulate"
     signed_noise: bool = False
@@ -231,8 +199,6 @@ class TwinRunConfig:
         for name in ("q", "l", "steps"):
             _at_least(self, name, 1)
         _at_least(self, "seed", 0)
-        if self.twin_seed is not None:
-            _at_least(self, "twin_seed", 0)
         _one_of(self, "strategy", STRATEGIES)
         _one_of(self, "bias_mode", BIAS_MODES)
 
@@ -246,12 +212,11 @@ class Trace:
     u_twin: list[float] = field(default_factory=list)
     metric_values: list[float] = field(default_factory=list)
     updated: list[bool] = field(default_factory=list)
-    update_steps: list[int] = field(default_factory=list)
     memory_cost: float = 0.0
 
     @property
     def updates(self) -> int:
-        return len(self.update_steps)
+        return self.updated.count(True)
 
     @property
     def steps(self) -> int:
@@ -294,10 +259,9 @@ def run_paired(config: TwinRunConfig) -> Trace:
     ids = physical.drone_ids
     phys_choice, walk = agent_streams(config.seed, ids, steps=config.steps)
     if threat.divergent_seeds:
-        twin_base = config.twin_seed if config.twin_seed is not None else config.seed + 1
         # Only the choice channel diverges; the walk tape is shared so a
         # freshly re-synced twin keeps sampling the same wander angles.
-        (twin_choice,) = agent_streams(twin_base, ids, steps=config.steps,
+        (twin_choice,) = agent_streams(config.seed + 1, ids, steps=config.steps,
                                        channels=(CHANNEL_CHOICE,))
     else:
         twin_choice = phys_choice
@@ -307,18 +271,17 @@ def run_paired(config: TwinRunConfig) -> Trace:
     since = 0  # first step of the current twin's check window
     prev_actions_phys: tuple = ()
     prev_actions_twin: tuple = ()
-    action2_cost = 0.0  # running sum of the per-step action2 costs
+    cost = 0.0  # running sum of the per-step memory costs, each an integer
 
     for t in range(config.steps):
         trace.metric_values.append(
             checker(physical, twin, prev_actions_phys, prev_actions_twin, k)
         )
-        if config.checker == "action2":
-            action2_cost += comparison_memory_cost(
-                "action2", m, n_obj, k=k,
-                step_kinds=([a.kind.value for a in prev_actions_phys],
-                            [a.kind.value for a in prev_actions_twin]),
-            )
+        cost += comparison_memory_cost(
+            config.checker, m, n_obj, k=k,
+            step_kinds=((a.kind.value for a in prev_actions_phys),
+                        (a.kind.value for a in prev_actions_twin)),
+        )
 
         outcome = windowed_check(
             trace.metric_values, t, config.q, config.l, config.theta, since
@@ -327,7 +290,6 @@ def run_paired(config: TwinRunConfig) -> Trace:
             snapshot = sense_snapshot(physical, threat, noise_rng, config.signed_noise)
             twin = apply_update(twin, snapshot, config.strategy)
             since = t + 1
-            trace.update_steps.append(t)
         trace.updated.append(outcome.triggered)
 
         # Utilities describe the tick as the manager leaves it: the metric and
@@ -346,10 +308,7 @@ def run_paired(config: TwinRunConfig) -> Trace:
         )
         twin, prev_actions_twin = step_world(twin, twin_choice[t].tolist(), walks)
 
-    if config.checker == "action2":
-        trace.memory_cost = action2_cost / config.steps
-    else:
-        trace.memory_cost = comparison_memory_cost(config.checker, m, n_obj)
+    trace.memory_cost = cost / config.steps
     return trace
 
 

@@ -282,6 +282,8 @@ def validate_scene(scene: SceneSpec) -> list[str]:
     bad = parameter_violations(scene)
     if not scene.drones:
         bad.append("scene has no drones")
+    elif len(scene.drones) < 2:  # knowledge is an edge between two drones
+        bad.append("scene has 1 drone; need at least two")
     if not scene.objects:
         bad.append("scene has no objects")
 

@@ -186,26 +186,6 @@ def test_sweep_is_deterministic_across_worker_counts(tmp_path):
     assert serial.read_bytes() == pooled.read_bytes()
 
 
-def test_sweep_means_output(tmp_path):
-    scene = gen_scene(tmp_path)
-    out = tmp_path / "sol.csv"
-    means = tmp_path / "means.csv"
-    rc = main(["sweep", "--scene", str(scene), "--condition", "I",
-               "--checkers", "knowledge", "--thetas", "0", "--repeats", "3",
-               "--steps", "15", "--out", str(out), "--means-out", str(means)])
-    assert rc == 0
-    rows = read_rows(out)[1:]
-    mrows = read_rows(means)
-    assert mrows[0] == ["scene", "condition", "checker", "theta", "n",
-                        "mean_updates", "mean_avg_utility_deviation"]
-    assert len(mrows) == 2
-    assert mrows[1][4] == "3"
-    want_upd = sum(int(r[8]) for r in rows) / 3
-    want_dev = sum(float(r[9]) for r in rows) / 3
-    assert float(mrows[1][5]) == want_upd
-    assert float(mrows[1][6]) == pytest.approx(want_dev)
-
-
 def test_sweep_rejects_bad_theta_list(tmp_path, capsys):
     scene = gen_scene(tmp_path)
     rc = main(["sweep", "--scene", str(scene), "--thetas", "0,zap",
@@ -309,8 +289,8 @@ def test_sweep_with_a_bad_setting_starts_no_run(tmp_path, monkeypatch, capsys, e
 
 @pytest.mark.parametrize("argv,named", [
     (["run", "--steps", "5", "--seed", "-1"], "--seed must be >= 0, got -1"),
-    (["run", "--steps", "5", "--condition", "I", "--twin-seed", "-3"],
-     "--twin-seed must be >= 0, got -3"),
+    (["run", "--steps", "5", "--condition", "I", "--seed", "-3"],
+     "--seed must be >= 0, got -3"),
     (["sweep", "--steps", "5", "--thetas", "0", "--seed", "-1"], "--seed must be >= 0, got -1"),
     (["strategy-study", "--seed", "-2"], "--seed must be >= 0, got -2"),
 ])
@@ -553,6 +533,7 @@ def test_pareto_rejects_missing_columns(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag,value,field", [
+    ("--drones", "1", "drones"),
     ("--width", "-5", "width"),
     ("--height", "0", "height"),
     ("--k", "0", "k"),
@@ -579,6 +560,22 @@ def test_gen_scene_names_every_bad_parameter(tmp_path, capsys):
     for field in ("k", "gamma", "range", "importance_period"):
         assert f"{field} must" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "strategy-study"])
+def test_a_one_drone_scene_exits_1_before_any_step(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)  # the default output paths land here
+    data = json.loads((SCENES / "scene1.json").read_text())
+    data["drones"] = data["drones"][:1]
+    scene = tmp_path / "lone.json"
+    scene.write_text(json.dumps(data))
+    monkeypatch.setattr(cli, "run_paired", lambda config: pytest.fail("a run started"))
+    monkeypatch.setattr(cli, "run_strategy_study", lambda config: pytest.fail("a study started"))
+    extra = ["--thetas", "0", "--jobs", "1"] if command == "sweep" else []
+    rc = main([command, "--scene", str(scene), *extra])
+    assert rc == 1
+    assert "scene has 1 drone; need at least two" in capsys.readouterr().err
+    assert not any(tmp_path.glob("*.csv"))
 
 
 def test_run_rejects_mistyped_scene_field(tmp_path, capsys):

@@ -27,7 +27,7 @@ from twinsync.harness import (
 )
 from twinsync.agent import build_perceptions
 from twinsync.analysis import comparison_memory_cost
-from twinsync.worldsim import coverage_map, step_world, utility_k
+from twinsync.worldsim import step_world, utility_k
 
 from helpers import make_scene, reference_agent_streams
 
@@ -129,24 +129,35 @@ def drifted_world(steps=25, bias=3.0, seed=11):
 
 def test_snapshot_without_threat_copies_exactly():
     world = drifted_world()
-    snap = sense_snapshot(world, ThreatConfig(), derive_rng(0))
-    assert snap.physical is world
-    assert snap.object_x is world.object_x and snap.object_y is world.object_y
-    assert not any(snap.estimated)
-    assert len(snap.estimated) == len(world.object_ids)
+    assert sense_snapshot(world, ThreatConfig(), derive_rng(0)) is world
+
+
+def test_snapshot_is_the_physical_world_when_nothing_is_estimated():
+    # no sensor limit (condition I), or a sensor limit with every object
+    # covered: the report is exact, so the snapshot is the world and no
+    # noise is drawn
+    world = drifted_world()
+    rng = derive_rng(4)
+    assert sense_snapshot(world, CONDITIONS["I"], rng) is world
+    covered = make_scene(drones=[(0, 5.0, 5.0), (1, 30.0, 30.0)],
+                         objects=[(0, 6.0, 6.0, 0.0, True), (1, 29.0, 31.0, 90.0, False)])
+    world = covered.build_world()
+    assert all(world.coverage)
+    assert sense_snapshot(world, CONDITIONS["II"], rng) is world
+    assert rng.random() == derive_rng(4).random()
 
 
 def test_snapshot_estimates_only_uncovered_objects():
     world = drifted_world()
-    threat = CONDITIONS["II"]
-    cov = coverage_map(world)
-    uncovered = [n == 0 for n in cov]
+    uncovered = [n == 0 for n in world.coverage]
     assert any(uncovered) and not all(uncovered)  # both kinds present
 
-    snap = sense_snapshot(world, threat, derive_rng(5))
-    assert snap.physical is world
-    assert list(snap.estimated) == uncovered
-    for j, estimated in enumerate(snap.estimated):
+    snap = sense_snapshot(world, CONDITIONS["II"], derive_rng(5))
+    # only the uncovered objects' positions, and their sensing, are new
+    for name in ("time", "object_ids", "object_dir", "important", "drone_ids",
+                 "drone_x", "drone_y", "inbox", "params", "weights"):
+        assert getattr(snap, name) is getattr(world, name), name
+    for j, estimated in enumerate(uncovered):
         x, y = snap.object_x[j], snap.object_y[j]
         if estimated:
             # one-sided noise, modulo clamping at the walls
@@ -161,8 +172,8 @@ def test_snapshot_draws_noise_x_then_y_in_object_order():
     world = drifted_world()
     rng = derive_rng(5)
     snap = sense_snapshot(world, CONDITIONS["II"], derive_rng(5))
-    for j, estimated in enumerate(snap.estimated):
-        if estimated:
+    for j, count in enumerate(world.coverage):
+        if count == 0:
             dx, dy = rng.uniform(0.0, 5.0), rng.uniform(0.0, 5.0)
             assert snap.object_x[j] == min(max(world.object_x[j] + dx, 0.0), 50.0)
             assert snap.object_y[j] == min(max(world.object_y[j] + dy, 0.0), 50.0)
@@ -175,8 +186,8 @@ def test_snapshot_signed_noise_can_go_negative():
     rng = derive_rng(6)
     for _ in range(10):
         snap = sense_snapshot(world, threat, rng, signed_noise=True)
-        for j, estimated in enumerate(snap.estimated):
-            if estimated:
+        for j, count in enumerate(world.coverage):
+            if count == 0:
                 offsets.append(snap.object_x[j] - world.object_x[j])
                 offsets.append(snap.object_y[j] - world.object_y[j])
     assert offsets
@@ -189,8 +200,9 @@ def test_snapshot_noise_is_deterministic_per_stream():
     threat = CONDITIONS["II"]
     a = sense_snapshot(world, threat, derive_rng(9))
     b = sense_snapshot(world, threat, derive_rng(9))
-    assert (a.object_x, a.object_y, a.estimated) == (b.object_x, b.object_y, b.estimated)
-    assert any(a.estimated)
+    assert (a.object_x, a.object_y, a.coverage) == (b.object_x, b.object_y, b.coverage)
+    assert np.array_equal(a.in_range, b.in_range)
+    assert (a.object_x, a.object_y) != (world.object_x, world.object_y)
 
 
 # ------------------------------------------------------------
@@ -230,13 +242,26 @@ def test_apply_update_replaces_shared_state():
 def test_apply_update_senses_estimated_positions_afresh():
     physical, twin = paired_for_update()
     snap = sense_snapshot(physical, CONDITIONS["II"], derive_rng(3))
-    assert any(snap.estimated)
+    assert (snap.object_x, snap.object_y) != (physical.object_x, physical.object_y)
     updated = apply_update(twin, snap, "update")
     assert (updated.object_x, updated.object_y) == (snap.object_x, snap.object_y)
     in_range, coverage = build_perceptions(
         updated.drone_x, updated.drone_y, snap.object_x, snap.object_y, SMALL.sensing_range)
     assert np.array_equal(updated.in_range, in_range)
     assert updated.coverage == coverage
+    assert updated.in_range is not physical.in_range  # sensed at the reported positions
+
+
+def test_every_strategy_shares_the_snapshots_sensing():
+    # the snapshot is sensed once; the three strategies differ only in weights
+    physical, twin = paired_for_update()
+    snap = sense_snapshot(physical, CONDITIONS["II"], derive_rng(3))
+    assert snap is not physical
+    for strategy in STRATEGIES:
+        updated = apply_update(twin, snap, strategy)
+        assert updated.in_range is snap.in_range, strategy
+        assert updated.coverage is snap.coverage, strategy
+        assert (updated.object_x, updated.object_y) == (snap.object_x, snap.object_y)
 
 
 def test_apply_update_strategy_update_shares_physical_weights():
@@ -292,6 +317,10 @@ def test_update_under_estimation_noise_stays_bounded():
 # ------------------------------------------------------------
 
 
+def update_steps(trace):
+    return [t for t, fired in enumerate(trace.updated) if fired]
+
+
 def run_config(**kwargs):
     defaults = dict(scene=SMALL, scene_name="small", steps=60, seed=5)
     defaults.update(kwargs)
@@ -310,7 +339,6 @@ def test_run_paired_identity_baseline_is_exact():
 def test_run_paired_forced_updates_every_step():
     trace = run_paired(run_config(condition="I", theta=-1.0))
     assert trace.updates == 60
-    assert trace.update_steps == list(range(60))
     assert all(trace.updated)
 
 
@@ -349,15 +377,6 @@ def test_run_paired_free_twin_matches_standalone_run():
     assert trace.u_twin == oracle
 
 
-def test_run_paired_twin_seed_flag_changes_divergent_runs_only():
-    base = run_paired(run_config(condition="I", theta=math.inf))
-    other = run_paired(run_config(condition="I", theta=math.inf, twin_seed=77))
-    assert base.u_twin != other.u_twin
-    same = run_paired(run_config(condition="none", theta=math.inf))
-    resamed = run_paired(run_config(condition="none", theta=math.inf, twin_seed=77))
-    assert same.u_twin == resamed.u_twin
-
-
 def test_run_paired_condition_ii_uses_shared_streams():
     trace = run_paired(run_config(condition="II", theta=math.inf, steps=40))
     # without updates the worlds only differ through the object bias
@@ -374,8 +393,8 @@ def test_run_paired_resync_restarts_the_window(checker, theta):
     # drift at u+1 can fire the next update.
     trace = run_paired(run_config(condition="I", checker=checker, theta=theta,
                                   l=1, steps=100))
-    updates = set(trace.update_steps)
-    back_to_back = [u for u in trace.update_steps if u + 1 in updates]
+    updates = set(update_steps(trace))
+    back_to_back = [u for u in update_steps(trace) if u + 1 in updates]
     assert back_to_back, "the run must resync on consecutive steps"
     for u in back_to_back:
         assert trace.metric_values[u + 1] > theta, f"update at {u + 1}"
@@ -412,9 +431,9 @@ def test_run_paired_update_window_sums_the_trace_since_the_last_resync(
     trace = run_paired(run_config(condition="I", checker="state", theta=theta,
                                   q=q, l=l, steps=100))
     assert trace.updates > 0
-    assert trace.update_steps == [t for t, c in checks.items() if c.triggered]
+    assert update_steps(trace) == [t for t, c in checks.items() if c.triggered]
     since = 0
-    for t in trace.update_steps:
+    for t in update_steps(trace):
         total = 0.0
         for v in trace.metric_values[max(since, t - l):t + 1]:
             total += v
@@ -425,7 +444,7 @@ def test_run_paired_update_window_sums_the_trace_since_the_last_resync(
 
 def test_run_paired_checker_grid_and_window():
     trace = run_paired(run_config(condition="I", theta=-1.0, q=5, steps=31))
-    assert trace.update_steps == [0, 5, 10, 15, 20, 25, 30]
+    assert update_steps(trace) == [0, 5, 10, 15, 20, 25, 30]
 
 
 def test_run_paired_validates_config():
@@ -445,7 +464,7 @@ def test_run_paired_validates_config():
 
 @pytest.mark.parametrize("field,value", [
     ("condition", "III"), ("checker", "vibes"), ("theta", math.nan), ("q", 0), ("l", 0),
-    ("steps", 0), ("seed", -1), ("twin_seed", -3), ("strategy", "merge"),
+    ("steps", 0), ("seed", -1), ("strategy", "merge"),
     ("bias_mode", "sideways"),
 ])
 def test_run_config_names_each_bad_field(field, value):

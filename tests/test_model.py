@@ -148,6 +148,16 @@ def test_validate_reports_parameter_violations():
         assert needle in text
 
 
+def test_validate_rejects_a_one_drone_scene(tmp_path):
+    # knowledge is an edge between two drones, so no checker can price a lone drone
+    lone = make_scene(drones=[(0, 1.0, 1.0)], objects=[(0, 5.0, 5.0, 0.0, True)])
+    assert "scene has 1 drone; need at least two" in validate_scene(lone)
+    path = tmp_path / "lone.json"
+    save_scene(lone, path)
+    with pytest.raises(ValueError, match="1 drone; need at least two"):
+        load_scene(path)
+
+
 def test_validate_rejects_non_finite_direction():
     scene = make_scene(
         drones=[(0, 1.0, 1.0)],
