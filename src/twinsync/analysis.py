@@ -120,11 +120,8 @@ def comparison_memory_cost(
     action: one kind header per drone, twice.
     action2: headers plus per-kind detail for the step's actual action mix,
     which is why it needs k and the two worlds' kind sequences.
+    TwinRunConfig checks m >= 2, n_obj >= 1 and action2's k >= 2.
     """
-    if m < 2:
-        raise ValueError(f"need at least two drones, got m={m}")
-    if n_obj < 1:
-        raise ValueError(f"need at least one object, got n_obj={n_obj}")
     if method == "knowledge":
         return float(m * (m - 1))
     if method == "state":
@@ -132,17 +129,9 @@ def comparison_memory_cost(
     if method == "action":
         return float(2 * m)
     if method == "action2":
-        if k is None or k < 2:
-            raise ValueError("action2 cost needs k >= 2")
-        if step_kinds is None:
-            raise ValueError("action2 cost needs the step's action kinds for both worlds")
         total = 0
         for kinds in step_kinds:
             for kind in kinds:
-                try:
-                    detail = _ACTION2_DETAIL[kind]
-                except KeyError:
-                    raise ValueError(f"unknown action kind {kind!r}") from None
-                total += 1 + detail(k)
+                total += 1 + _ACTION2_DETAIL[kind](k)
         return float(total)
     raise ValueError(f"unknown comparison method {method!r}")

@@ -52,7 +52,6 @@ from .model import (
     load_scene,
     parameter_violations,
     save_scene,
-    validate_scene,
 )
 from .worldsim import BIAS_MODES
 
@@ -240,11 +239,8 @@ def _load_scene_for(args) -> tuple[SceneSpec, str]:
         raise UsageError(f"cannot read scene file: {exc}") from exc
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    scene = scene.with_overrides(**_scene_flag_values(args))
-    violations = validate_scene(scene)
-    if violations:
-        raise UsageError("invalid scene after overrides: " + "; ".join(violations))
-    return scene, path.stem
+    # the config built from it checks the overridden scene
+    return scene.with_overrides(**_scene_flag_values(args)), path.stem
 
 
 def _pool_size(jobs: int, n_work: int) -> int:

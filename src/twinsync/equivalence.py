@@ -85,8 +85,6 @@ def fine_action_deviation(physical: ActionRecord, twin: ActionRecord, k: int) ->
     A follow against a notify-and-follow costs 0.5 plus 0.5 if the objects
     differ; any other kind mismatch costs 1.
     """
-    if k < 2:
-        raise ValueError(f"fine-grained comparison needs k >= 2, got {k}")
     if physical.drone_id != twin.drone_id:
         raise ValueError("fine-grained comparison crosses drone ids")
     pk, tk = physical.kind, twin.kind
@@ -152,10 +150,6 @@ def windowed_check(
     strict (sum > threshold): +inf never fires, -1 always fires since the
     metrics are nonnegative.
     """
-    if q < 1:
-        raise ValueError(f"checking interval must be >= 1, got {q}")
-    if l < 1:
-        raise ValueError(f"window length must be >= 1, got {l}")
     if t % q != 0:
         return CheckOutcome(False, None)
     total = left_sum(values[max(since, t - l):t + 1])

@@ -5,13 +5,14 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 from typing import Iterable
 
 import numpy as np
 
 from .analysis import avg_utility_deviation, comparison_memory_cost, left_sum
 from .equivalence import CHECKERS, windowed_check
-from .model import SceneSpec, WorldState, read_only
+from .model import SceneSpec, WorldState, read_only, validate_scene
 from .agent import build_perceptions
 from .worldsim import BIAS_MODES, clamp_point, step_world, utility_k
 
@@ -163,17 +164,26 @@ def _one_of(config, field: str, options) -> None:
              f"expected one of {', '.join(options)}")
 
 
-def _at_least(config, field: str, low: int) -> None:
+def _at_least(config, field: str, low: int, low_name: str = "") -> None:
     value = getattr(config, field)
-    _require(value >= low, field, f"must be >= {low}, got {value}")
+    # bool is an int to Python, and a float like 1.5 would be used as given
+    _require(isinstance(value, Integral) and not isinstance(value, bool), field,
+             f"must be an integer, got {value!r}")
+    _require(value >= low, field, f"must be >= {low_name}{low}, got {value}")
+
+
+def _valid_scene(config) -> None:
+    violations = validate_scene(config.scene)
+    _require(not violations, "scene", "is invalid: " + "; ".join(violations))
 
 
 @dataclass(frozen=True)
 class TwinRunConfig:
     """Everything a paired run needs; world parameters come from the scene.
 
-    Every field is checked when the config is built, and a bad one raises
-    ConfigError naming it.
+    Every field is checked when the config is built, the scene last with
+    `validate_scene`, and a bad one raises ConfigError naming it. The step
+    loop relies on these checks and does not repeat them.
     """
 
     scene: SceneSpec
@@ -201,6 +211,7 @@ class TwinRunConfig:
         _at_least(self, "seed", 0)
         _one_of(self, "strategy", STRATEGIES)
         _one_of(self, "bias_mode", BIAS_MODES)
+        _valid_scene(self)
 
 
 @dataclass
@@ -379,13 +390,11 @@ class StrategyStudyConfig:
         for name, low in (("samples", 1), ("repeats", 1), ("seed", 0),
                           ("accumulation", 0), ("evaluation", 1), ("start_min", 0)):
             _at_least(self, name, low)
-        _require(self.start_max >= self.start_min, "start_max",
-                 f"must be >= start_min {self.start_min}, got {self.start_max}")
-        run_to = self.start_max + self.accumulation + self.evaluation
-        _require(run_to <= self.horizon, "horizon",
-                 f"must cover start_max + accumulation + evaluation = {run_to}, "
-                 f"got {self.horizon}")
+        _at_least(self, "start_max", self.start_min, "start_min ")
+        _at_least(self, "horizon", self.start_max + self.accumulation + self.evaluation,
+                  "start_max + accumulation + evaluation = ")
         _one_of(self, "bias_mode", BIAS_MODES)
+        _valid_scene(self)
 
 
 @dataclass

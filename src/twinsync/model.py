@@ -129,9 +129,6 @@ class SceneSpec:
         """Instantiate the t=0 world: empty inboxes, all edge weights zero."""
         from .agent import build_perceptions  # agent imports this module
 
-        if self.importance_period < 1:
-            raise ValueError(
-                f"importance period must be >= 1, got {self.importance_period}")
         drones = sorted(self.drones, key=lambda d: d.id)
         objects = sorted(self.objects, key=lambda o: o.id)
         drone_x = tuple(float(d.x) for d in drones)

@@ -92,8 +92,6 @@ def coverage_map(world: WorldState) -> tuple[int, ...]:
 
 def utility_k(world: WorldState, k: int) -> float:
     """Fraction of all objects covered by at least k drones."""
-    if not world.object_ids:
-        raise ValueError("utility undefined for a world with no objects")
     return sum(1 for count in coverage_map(world) if count >= k) / len(world.object_ids)
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twinsync.analysis import (
+    _ACTION2_DETAIL,
     SolutionPoint,
     avg_utility_deviation,
     comparison_memory_cost,
@@ -16,6 +17,8 @@ from twinsync.analysis import (
     normalize_solutions,
     pareto_front,
 )
+
+from twinsync.model import ActionKind
 
 from helpers import brute_force_front, grid_hypervolume, random_fronts
 
@@ -214,15 +217,12 @@ def test_memory_cost_action2_counts_actual_mix():
 
 
 def test_memory_cost_validates():
-    with pytest.raises(ValueError, match="two drones"):
-        comparison_memory_cost("state", 1, 5)
-    with pytest.raises(ValueError, match="one object"):
-        comparison_memory_cost("state", 5, 0)
+    # the run config checks the drone, object and k counts: see
+    # test_configs_reject_an_invalid_scene and test_run_paired_validates_config
     with pytest.raises(ValueError, match="unknown comparison"):
         comparison_memory_cost("vibes", 5, 5)
-    with pytest.raises(ValueError, match="k >= 2"):
-        comparison_memory_cost("action2", 5, 5)
-    with pytest.raises(ValueError, match="action kinds"):
-        comparison_memory_cost("action2", 5, 5, k=2)
-    with pytest.raises(ValueError, match="unknown action kind"):
-        comparison_memory_cost("action2", 5, 5, k=2, step_kinds=(("hover",), ()))
+
+
+def test_action2_detail_prices_every_action_kind():
+    # records carry only ActionKind values, so no unknown kind reaches the table
+    assert set(_ACTION2_DETAIL) == {kind.value for kind in ActionKind}

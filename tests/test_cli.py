@@ -578,6 +578,23 @@ def test_a_one_drone_scene_exits_1_before_any_step(tmp_path, monkeypatch, capsys
     assert not any(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("command", ["run", "sweep", "strategy-study"])
+@pytest.mark.parametrize("flag,value,violation", [
+    ("--gamma", "1.5", "gamma must lie in (0, 1), got 1.5"),
+    ("--importance-period", "0", "importance_period must be >= 1, got 0"),
+])
+def test_a_bad_scene_override_exits_1_before_any_step(tmp_path, monkeypatch, capsys,
+                                                      command, flag, value, violation):
+    monkeypatch.chdir(tmp_path)  # the default output paths land here
+    monkeypatch.setattr(cli, "run_paired", lambda config: pytest.fail("a run started"))
+    monkeypatch.setattr(cli, "run_strategy_study", lambda config: pytest.fail("a study started"))
+    extra = ["--thetas", "0", "--jobs", "1"] if command == "sweep" else []
+    rc = main([command, "--scene", str(SCENES / "scene1.json"), flag, value, *extra])
+    assert rc == 1
+    assert violation in capsys.readouterr().err
+    assert not any(tmp_path.glob("*.csv"))
+
+
 def test_run_rejects_mistyped_scene_field(tmp_path, capsys):
     data = json.loads((SCENES / "scene1.json").read_text())
     data["objects"][0]["important"] = "false"

@@ -237,8 +237,7 @@ def test_fine_remaining_pairings_cost_one(a, b):
 
 
 def test_fine_validates_inputs():
-    with pytest.raises(ValueError, match="k >= 2"):
-        fine_action_deviation(walk(), walk(), k=1)
+    # k >= 2 is checked by the run config (test_run_paired_validates_config)
     with pytest.raises(ValueError, match="crosses drone ids"):
         fine_action_deviation(walk(0), walk(1), k=2)
 
@@ -356,13 +355,6 @@ def test_windowed_check_restarts_after_history_restart():
                           since=2).value == pytest.approx(0.3)
     # without the restart the same window would fire
     assert windowed_check(values, 3, q=1, l=3, threshold=0.5, since=0).triggered
-
-
-def test_windowed_check_validates_parameters():
-    with pytest.raises(ValueError, match="interval"):
-        windowed_check([0.0], 0, q=0, l=1, threshold=0.0, since=0)
-    with pytest.raises(ValueError, match="window length"):
-        windowed_check([0.0], 0, q=1, l=0, threshold=0.0, since=0)
 
 
 # ------------------------------------------------------------

@@ -466,6 +466,8 @@ def test_run_paired_validates_config():
     ("condition", "III"), ("checker", "vibes"), ("theta", math.nan), ("q", 0), ("l", 0),
     ("steps", 0), ("seed", -1), ("strategy", "merge"),
     ("bias_mode", "sideways"),
+    # integers only: 1.5 would check at steps 0, 3, 6, ...; the rest fail mid-run
+    ("q", 1.5), ("steps", 3.0), ("l", 2.5), ("seed", 1.5), ("q", True), ("steps", False),
 ])
 def test_run_config_names_each_bad_field(field, value):
     with pytest.raises(harness.ConfigError, match=f"^{field} ") as exc:
@@ -572,11 +574,51 @@ def test_study_validates_inputs():
     ("condition", "X"), ("samples", 0), ("repeats", 0), ("seed", -2), ("accumulation", -1),
     ("evaluation", 0), ("start_min", -1), ("start_max", 0), ("horizon", 79),
     ("bias_mode", "sideways"),
+    ("samples", 2.0), ("accumulation", 1.5), ("repeats", True), ("start_max", 40.5),
+    ("horizon", 100.0),
 ])
 def test_study_config_names_each_bad_field(field, value):
     with pytest.raises(harness.ConfigError, match=f"^{field} ") as exc:
         study_config(**{field: value})
     assert exc.value.field == field
+
+
+def test_integer_fields_say_why_they_reject_a_float():
+    with pytest.raises(harness.ConfigError, match="^q must be an integer, got 1.5$"):
+        run_config(q=1.5)
+    with pytest.raises(harness.ConfigError, match="^repeats must be an integer, got True$"):
+        study_config(repeats=True)
+    assert run_config(seed=np.int64(5)).seed == 5  # a numpy integer is an integer
+
+
+# Scenes that break validate_scene, each with every violation it reports, in order.
+INVALID_SCENES = {
+    "one-drone": (dataclasses.replace(SMALL, drones=SMALL.drones[:1]),
+                  ["scene has 1 drone; need at least two"]),
+    "no-objects": (dataclasses.replace(SMALL, objects=()), ["scene has no objects"]),
+    "importance-period-0": (dataclasses.replace(SMALL, importance_period=0),
+                            ["importance_period must be >= 1, got 0"]),
+    "out-of-bounds": (dataclasses.replace(SMALL, drones=SMALL.drones[:4] + (
+        SMALL.drones[4]._replace(x=60.0),)), ["drone 4 position (60.0, 35.0) out of bounds"]),
+    "all-at-once": (dataclasses.replace(SMALL, importance_period=0, drones=(
+        SMALL.drones[0]._replace(y=-1.0),), objects=()),
+        ["importance_period must be >= 1, got 0", "scene has 1 drone; need at least two",
+         "scene has no objects", "drone 0 position (5.0, -1.0) out of bounds"]),
+}
+
+
+@pytest.mark.parametrize("case", INVALID_SCENES)
+@pytest.mark.parametrize("start", [
+    lambda scene: run_paired(run_config(scene=scene)),
+    lambda scene: run_strategy_study(study_config(scene=scene)),
+], ids=["run", "study"])
+def test_configs_reject_an_invalid_scene(monkeypatch, start, case):
+    scene, violations = INVALID_SCENES[case]
+    monkeypatch.setattr(harness, "step_world", lambda *a, **kw: pytest.fail("a world stepped"))
+    with pytest.raises(harness.ConfigError) as exc:
+        start(scene)
+    assert exc.value.field == "scene"
+    assert str(exc.value) == "scene is invalid: " + "; ".join(violations)
 
 
 def test_study_shapes_and_stats():
