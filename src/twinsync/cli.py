@@ -169,7 +169,9 @@ def _add_scene_flags(p: argparse.ArgumentParser, defaults: dict | None) -> None:
 
 
 def _scene_flag_values(args) -> dict:
-    return {field: getattr(args, field) for _, field, _, _ in _SCENE_FLAGS}
+    """The scene parameter flags that hold a value; None keeps the scene's."""
+    values = {field: getattr(args, field) for _, field, _, _ in _SCENE_FLAGS}
+    return {field: value for field, value in values.items() if value is not None}
 
 
 def _flag(field: str) -> str:
@@ -240,7 +242,7 @@ def _load_scene_for(args) -> tuple[SceneSpec, str]:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     # the config built from it checks the overridden scene
-    return scene.with_overrides(**_scene_flag_values(args)), path.stem
+    return replace(scene, **_scene_flag_values(args)), path.stem
 
 
 def _pool_size(jobs: int, n_work: int) -> int:
@@ -283,8 +285,10 @@ def _cmd_run(args) -> int:
     with _naming_flags():
         config = _run_config(args, scene, name, checker=args.checker, theta=args.theta)
     trace = run_paired(config)
+    columns = zip(trace.u_physical, trace.u_twin, trace.metric_values, trace.updated)
     _write_csv(args.trace, ("t", "u_physical", "u_twin", "metric_value", "updated"),
-               ((t, repr(up), repr(ut), repr(mv), upd) for t, up, ut, mv, upd in trace.rows()))
+               ((t, repr(up), repr(ut), repr(mv), int(upd))
+                for t, (up, ut, mv, upd) in enumerate(columns)))
     row = summary_row(trace, repeat=0)
     _write_csv(args.summary, SUMMARY_HEADER, [row])
     print(",".join(str(v) for v in row))

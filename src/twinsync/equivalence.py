@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -160,18 +160,15 @@ def windowed_check(
 # Checker registry
 # ============================================================
 
-# Each checker scores one paired step from both worlds and the actions that
-# produced them: (physical, twin, actions_physical, actions_twin, k) -> float.
-# k matters only to the fine-grained action comparison.
-Checker = Callable[
-    [WorldState, WorldState, Sequence[ActionRecord], Sequence[ActionRecord], int], float
-]
-
-CHECKERS: dict[str, Checker] = {
-    "state": lambda p, t, ap, at, k: state_deviation(state_vector(p), state_vector(t)),
-    "knowledge": lambda p, t, ap, at, k: drift(knowledge_vector(p), knowledge_vector(t)),
-    "action": lambda p, t, ap, at, k: coarse_action_deviation(ap, at),
-    "action2": lambda p, t, ap, at, k: mean_fine_action_deviation(ap, at, k),
+# Each checker scores one paired step from the two worlds alone:
+# (physical, twin) -> float. The action checkers read the records each world
+# carries of the step that made it; only the fine-grained one needs the
+# scene's k.
+CHECKERS = {
+    "state": lambda p, t: state_deviation(state_vector(p), state_vector(t)),
+    "knowledge": lambda p, t: drift(knowledge_vector(p), knowledge_vector(t)),
+    "action": lambda p, t: coarse_action_deviation(p.actions, t.actions),
+    "action2": lambda p, t: mean_fine_action_deviation(p.actions, t.actions, p.params.k),
 }
 
 CHECKER_NAMES = tuple(CHECKERS)

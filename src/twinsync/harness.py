@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass, field, replace
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Iterable
 
 import numpy as np
@@ -204,6 +204,9 @@ class TwinRunConfig:
         _one_of(self, "checker", CHECKERS)
         _require(self.checker != "action2" or self.scene.k >= 2, "checker",
                  f"action2 needs k >= 2, got k = {self.scene.k}")
+        # bool is a number to Python, and a string fails inside math.isnan
+        _require(isinstance(self.theta, Real) and not isinstance(self.theta, bool), "theta",
+                 f"must be a number, got {self.theta!r}")
         # NaN compares false with every window sum, so the run would never update
         _require(not math.isnan(self.theta), "theta", "must not be NaN")
         for name in ("q", "l", "steps"):
@@ -229,22 +232,8 @@ class Trace:
     def updates(self) -> int:
         return self.updated.count(True)
 
-    @property
-    def steps(self) -> int:
-        return len(self.u_physical)
-
     def avg_utility_deviation(self) -> float:
         return avg_utility_deviation(self.u_physical, self.u_twin)
-
-    def rows(self):
-        for t in range(self.steps):
-            yield (
-                t,
-                self.u_physical[t],
-                self.u_twin[t],
-                self.metric_values[t],
-                int(self.updated[t]),
-            )
 
 
 def run_paired(config: TwinRunConfig) -> Trace:
@@ -264,7 +253,6 @@ def run_paired(config: TwinRunConfig) -> Trace:
     checker = CHECKERS[config.checker]
     physical = config.scene.build_world()
     twin = config.scene.build_world()
-    k = physical.params.k
     m, n_obj = len(physical.drone_ids), len(physical.object_ids)
 
     ids = physical.drone_ids
@@ -280,18 +268,14 @@ def run_paired(config: TwinRunConfig) -> Trace:
 
     trace = Trace(config)
     since = 0  # first step of the current twin's check window
-    prev_actions_phys: tuple = ()
-    prev_actions_twin: tuple = ()
     cost = 0.0  # running sum of the per-step memory costs, each an integer
 
     for t in range(config.steps):
-        trace.metric_values.append(
-            checker(physical, twin, prev_actions_phys, prev_actions_twin, k)
-        )
+        trace.metric_values.append(checker(physical, twin))
         cost += comparison_memory_cost(
-            config.checker, m, n_obj, k=k,
-            step_kinds=((a.kind.value for a in prev_actions_phys),
-                        (a.kind.value for a in prev_actions_twin)),
+            config.checker, m, n_obj, k=physical.params.k,
+            step_kinds=((a.kind for a in physical.actions),
+                        (a.kind for a in twin.actions)),
         )
 
         outcome = windowed_check(
@@ -299,6 +283,8 @@ def run_paired(config: TwinRunConfig) -> Trace:
         )
         if outcome.triggered:
             snapshot = sense_snapshot(physical, threat, noise_rng, config.signed_noise)
+            # the resynced twin carries the physical world's actions, but it
+            # steps again before the next metric reads them
             twin = apply_update(twin, snapshot, config.strategy)
             since = t + 1
         trace.updated.append(outcome.triggered)
@@ -306,18 +292,18 @@ def run_paired(config: TwinRunConfig) -> Trace:
         # Utilities describe the tick as the manager leaves it: the metric and
         # the window are read from the pre-update twin, but the recorded u'
         # reflects any re-init applied this tick.
-        trace.u_physical.append(utility_k(physical, k))
-        trace.u_twin.append(utility_k(twin, k))
+        trace.u_physical.append(utility_k(physical))
+        trace.u_twin.append(utility_k(twin))
 
         walks = walk[t].tolist()
-        physical, prev_actions_phys = step_world(
+        physical = step_world(
             physical,
             phys_choice[t].tolist(),
             walks,
             bias_degrees=threat.bias_degrees,
             bias_mode=config.bias_mode,
         )
-        twin, prev_actions_twin = step_world(twin, twin_choice[t].tolist(), walks)
+        twin = step_world(twin, twin_choice[t].tolist(), walks)
 
     trace.memory_cost = cost / config.steps
     return trace
@@ -439,7 +425,6 @@ def run_strategy_study(config: StrategyStudyConfig) -> StrategyStudyResult:
     clone_points = set(start_times)
     snapshot_points = {s + config.accumulation for s in start_times}
 
-    k = config.scene.k
     deviations: dict[str, list[float]] = {s: [] for s in STRATEGIES}
 
     for rep in range(config.repeats):
@@ -452,19 +437,19 @@ def run_strategy_study(config: StrategyStudyConfig) -> StrategyStudyResult:
                                          steps=branch_steps, channels=(CHANNEL_CHOICE,))
         noise_rng = derive_rng(config.seed, STREAM_NOISE, rep)
 
-        u_phys = [utility_k(physical, k)]
+        u_phys = [utility_k(physical)]
         worlds: dict[int, WorldState] = {}
         if 0 in clone_points:
             worlds[0] = physical
         for t in range(1, run_to + 1):
-            physical, _ = step_world(
+            physical = step_world(
                 physical,
                 choice[t - 1].tolist(),
                 walk[t - 1].tolist(),
                 bias_degrees=threat.bias_degrees,
                 bias_mode=config.bias_mode,
             )
-            u_phys.append(utility_k(physical, k))
+            u_phys.append(utility_k(physical))
             if t in clone_points or t in snapshot_points:
                 worlds[t] = physical
 
@@ -476,7 +461,7 @@ def run_strategy_study(config: StrategyStudyConfig) -> StrategyStudyResult:
             draws = list(zip(twin_choice.tolist(), walk[start:start + branch_steps].tolist()))
             twin = worlds[start]  # world states are immutable, sharing is safe
             for c, w in draws[:config.accumulation]:
-                twin, _ = step_world(twin, c, w)
+                twin = step_world(twin, c, w)
 
             update_at = start + config.accumulation
             snapshot = sense_snapshot(
@@ -486,10 +471,8 @@ def run_strategy_study(config: StrategyStudyConfig) -> StrategyStudyResult:
                 branch = apply_update(twin, snapshot, strategy)
                 gaps = []
                 for step, (c, w) in enumerate(draws[config.accumulation:], start=1):
-                    branch, _ = step_world(branch, c, w)
-                    gaps.append(
-                        abs(u_phys[update_at + step] - utility_k(branch, k))
-                    )
+                    branch = step_world(branch, c, w)
+                    gaps.append(abs(u_phys[update_at + step] - utility_k(branch)))
                 deviations[strategy].append(left_sum(gaps) / len(gaps))
 
     return StrategyStudyResult(config, start_times, deviations)

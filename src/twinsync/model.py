@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import NamedTuple
@@ -65,6 +65,9 @@ class WorldState:
     positions: entry (i, j) is True when drone i has object j in range, and
     `coverage[j]` counts the drones that have object j in range. World states
     that agree on any of these share them rather than copy them.
+
+    `actions` holds the records of the step that produced this world, in
+    drone order; a freshly built world has none.
     """
 
     time: int
@@ -81,6 +84,7 @@ class WorldState:
     weights: np.ndarray
     in_range: np.ndarray
     coverage: tuple[int, ...]
+    actions: tuple[ActionRecord, ...] = ()
 
 
 # ============================================================
@@ -119,11 +123,6 @@ class SceneSpec:
     @property
     def bounds(self) -> tuple[float, float]:
         return (self.width, self.height)
-
-    def with_overrides(self, **kwargs) -> SceneSpec:
-        """Return a copy with some world parameters replaced (None = keep)."""
-        changes = {k: v for k, v in kwargs.items() if v is not None}
-        return replace(self, **changes) if changes else self
 
     def build_world(self) -> WorldState:
         """Instantiate the t=0 world: empty inboxes, all edge weights zero."""
@@ -243,14 +242,6 @@ def scene_from_dict(data: dict) -> SceneSpec:
     )
 
 
-def encode_scene(scene: SceneSpec) -> str:
-    return json.dumps(scene_to_dict(scene), indent=2) + "\n"
-
-
-def decode_scene(text: str) -> SceneSpec:
-    return scene_from_dict(json.loads(text))
-
-
 def parameter_violations(scene: SceneSpec) -> list[str]:
     """Violations among the world parameters alone, each naming its field."""
     bad: list[str] = []
@@ -305,7 +296,7 @@ def validate_scene(scene: SceneSpec) -> list[str]:
 
 def load_scene(path: str | Path) -> SceneSpec:
     """Read, decode and validate a scene file."""
-    scene = decode_scene(Path(path).read_text())
+    scene = scene_from_dict(json.loads(Path(path).read_text()))
     violations = validate_scene(scene)
     if violations:
         raise ValueError(f"invalid scene {path}: " + "; ".join(violations))
@@ -313,4 +304,4 @@ def load_scene(path: str | Path) -> SceneSpec:
 
 
 def save_scene(scene: SceneSpec, path: str | Path) -> None:
-    Path(path).write_text(encode_scene(scene))
+    Path(path).write_text(json.dumps(scene_to_dict(scene), indent=2) + "\n")

@@ -6,7 +6,7 @@ import math
 from typing import Sequence
 
 from .agent import RANDOM_WALK_DISTANCE, build_perceptions, decide, evolve_knowledge
-from .model import ActionRecord, Request, WorldState
+from .model import Request, WorldState
 
 OBJECT_SPEED = 1.0  # units per step
 
@@ -90,8 +90,9 @@ def coverage_map(world: WorldState) -> tuple[int, ...]:
     return world.coverage
 
 
-def utility_k(world: WorldState, k: int) -> float:
-    """Fraction of all objects covered by at least k drones."""
+def utility_k(world: WorldState) -> float:
+    """Fraction of all objects covered by at least the scene's k drones."""
+    k = world.params.k
     return sum(1 for count in coverage_map(world) if count >= k) / len(world.object_ids)
 
 
@@ -101,8 +102,8 @@ def step_world(
     walk: Sequence[float],
     bias_degrees: float = 0.0,
     bias_mode: str = "accumulate",
-) -> tuple[WorldState, tuple[ActionRecord, ...]]:
-    """Advance the world by one step; returns the new world and the actions taken.
+) -> WorldState:
+    """Advance the world by one step; the new world carries the actions taken.
 
     Order within the step: decide from the world's own sensing, move drones,
     deliver messages (one step latency, previous inboxes expire), move
@@ -159,7 +160,7 @@ def step_world(
     time = world.time + 1
     in_range, coverage = build_perceptions(
         drone_x, drone_y, object_x, object_y, params.sensing_range)
-    stepped = WorldState(
+    return WorldState(
         time=time,
         object_ids=world.object_ids,
         object_x=tuple(object_x),
@@ -174,5 +175,5 @@ def step_world(
         weights=evolve_knowledge(world.weights, in_range, params.gamma, params.delta),
         in_range=in_range,
         coverage=coverage,
+        actions=tuple(actions),
     )
-    return stepped, tuple(actions)

@@ -46,7 +46,7 @@ def sense(world, sensing_range=10.0):
 def first_step(world, seed):
     """The actions of one step on the first row of the seed's tapes."""
     choice, walk = agent_streams(seed, world.drone_ids, steps=1)
-    return step_world(world, choice[0].tolist(), walk[0].tolist())[1]
+    return step_world(world, choice[0].tolist(), walk[0].tolist()).actions
 
 
 ZERO_ROW = (0.0, 0.0, 0.0)
@@ -135,7 +135,7 @@ def test_step_world_senses_each_world_state_once(monkeypatch):
     world = scene.build_world()
     choice, walk = agent_streams(3, [0, 1, 2], steps=10)
     for step in range(1, 11):
-        world, _ = step_world(world, choice[step - 1].tolist(), walk[step - 1].tolist())
+        world = step_world(world, choice[step - 1].tolist(), walk[step - 1].tolist())
         assert len(calls) == step
         # the handed-on sensing is exactly what the moved positions give
         in_range, coverage = original(world.drone_x, world.drone_y, world.object_x,
@@ -378,7 +378,7 @@ def test_fleet_evolve_matches_per_drone_reference(seed, m, n, steps, gamma, delt
     graphs = {i: {} for i in world.drone_ids}
     bound = delta * n / (1.0 - gamma)
     for t in range(steps):
-        world, _ = step_world(world, choice[t].tolist(), walk[t].tolist())
+        world = step_world(world, choice[t].tolist(), walk[t].tolist())
         co_cover = reference_co_cover(world, 8.0)
         graphs = {i: reference_evolve(graphs[i], co_cover[i], gamma, delta) for i in graphs}
         w = world.weights

@@ -10,7 +10,8 @@ import pytest
 
 from twinsync import cli
 from twinsync.cli import main
-from twinsync.harness import StrategyStudyConfig, TwinRunConfig
+from twinsync.harness import StrategyStudyConfig, TwinRunConfig, run_paired
+from twinsync.model import load_scene
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
@@ -100,6 +101,39 @@ def test_run_writes_trace_and_summary(tmp_path):
     srows = read_rows(summary)
     assert len(srows) == 2
     assert srows[1][2] == "knowledge"
+
+
+def test_run_trace_rows_are_the_run_columns(tmp_path):
+    # one row per step: t, then run_paired's u, u', metric value and 0/1 flag
+    scene = gen_scene(tmp_path)
+    rc, trace_csv, _ = run_cmd(tmp_path, scene, "--condition", "I",
+                               "--checker", "state", "--theta", "2.0")
+    assert rc == 0
+    trace = run_paired(TwinRunConfig(scene=load_scene(scene), condition="I",
+                                     checker="state", theta=2.0, steps=20))
+    assert 0 < trace.updates < 20
+    columns = zip(trace.u_physical, trace.u_twin, trace.metric_values, trace.updated)
+    assert read_rows(trace_csv)[1:] == [
+        [str(t), repr(up), repr(ut), repr(mv), "1" if upd else "0"]
+        for t, (up, ut, mv, upd) in enumerate(columns)]
+    assert all(0.0 <= u <= 1.0 for u in trace.u_physical + trace.u_twin)
+
+
+def test_scene_flags_override_only_the_parameters_given(tmp_path, monkeypatch):
+    scene_file = SCENES / "scene1.json"
+    configs = []
+
+    def recording(config):
+        configs.append(config)
+        return run_paired(config)
+
+    monkeypatch.setattr(cli, "run_paired", recording)
+    for extra in ([], ["--k", "3", "--range", "7.0"]):
+        rc, _, _ = run_cmd(tmp_path, scene_file, *extra)
+        assert rc == 0
+    scene = load_scene(scene_file)
+    assert configs[0].scene == scene
+    assert configs[1].scene == dataclasses.replace(scene, k=3, sensing_range=7.0)
 
 
 def test_run_trace_is_byte_identical_across_invocations(tmp_path):

@@ -371,26 +371,33 @@ def test_checker_payloads_and_metrics_wire_up():
         drones=[(0, 1.0, 1.0), (1, 2.0, 2.0)],
         objects=[(0, 5.0, 5.0, 0.0, True)],
     )
-    world = scene.build_world()
+    # each world carries the actions of the step that made it
+    world = dataclasses.replace(scene.build_world(), actions=(walk(0), walk(1)))
+    other = dataclasses.replace(world, actions=(walk(0), follow(1, 1)))
     moved = dataclasses.replace(world, object_x=(8.0,), object_y=(9.0,))
-    actions = (walk(0), walk(1))
-    other = (walk(0), follow(1, 1))
 
     state = CHECKERS["state"]
-    assert state(world, world, actions, other, 2) == 0.0
-    assert state(world, moved, actions, actions, 2) == state_deviation(
+    assert state(world, other) == 0.0
+    assert state(world, moved) == state_deviation(
         state_vector(world), state_vector(moved)) == 5.0
 
     knowledge = CHECKERS["knowledge"]
-    assert knowledge(world, moved, actions, other, 2) == 0.0
+    assert knowledge(world, dataclasses.replace(moved, actions=other.actions)) == 0.0
     weighted, bare = world_with_weights({(0, 1): 2.5}), world_with_weights({})
-    assert knowledge(weighted, bare, actions, actions, 2) == drift(
+    assert knowledge(weighted, bare) == drift(
         knowledge_vector(weighted), knowledge_vector(bare)) == 2.5
 
     action = CHECKERS["action"]
-    assert action(world, moved, actions, actions, 2) == 0.0
-    assert action(world, world, actions, other, 2) == 0.5
+    assert action(world, moved) == 0.0
+    assert action(world, other) == 0.5
 
     action2 = CHECKERS["action2"]
-    assert action2(world, moved, actions, actions, 2) == 0.0
-    assert action2(world, world, actions, other, 2) == 0.5
+    assert action2(world, moved) == 0.0
+    assert action2(world, other) == 0.5
+    # the fine comparison reads k from the scene: one shared recipient of
+    # k - 1 = 2 costs 0.5 * (1 - 1/2), where at k = 2 it would cost nothing
+    k3 = dataclasses.replace(world, params=dataclasses.replace(scene, k=3),
+                             actions=(notify(0, {1, 2}), walk(1)))
+    other_notify = dataclasses.replace(k3, actions=(notify(0, {1, 3}), walk(1)))
+    assert action2(k3, other_notify) == mean_fine_action_deviation(
+        k3.actions, other_notify.actions, 3) == 0.125

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 import twinsync.harness as harness
-from twinsync.equivalence import state_vector, state_deviation, windowed_check
+from twinsync.equivalence import (
+    coarse_action_deviation,
+    mean_fine_action_deviation,
+    state_deviation,
+    state_vector,
+    windowed_check,
+)
 from twinsync.harness import (
     CHANNEL_CHOICE,
     CHANNEL_WALK,
@@ -119,7 +125,7 @@ def test_conditions_wire_the_right_threats():
 def run_world(world, seed, steps, **kwargs):
     choice, walk = agent_streams(seed, world.drone_ids, steps=steps)
     for t in range(steps):
-        world, _ = step_world(world, choice[t].tolist(), walk[t].tolist(), **kwargs)
+        world = step_world(world, choice[t].tolist(), walk[t].tolist(), **kwargs)
     return world
 
 
@@ -295,7 +301,7 @@ def test_apply_update_validates_inputs():
     snap = sense_snapshot(physical, ThreatConfig(), derive_rng(0))
     with pytest.raises(ValueError, match="strategy"):
         apply_update(twin, snap, "merge")
-    later = step_world(twin, [0.0] * 5, [0.0] * 5)[0]
+    later = step_world(twin, [0.0] * 5, [0.0] * 5)
     with pytest.raises(ValueError, match="time"):
         apply_update(later, snap, "update")
 
@@ -329,7 +335,7 @@ def run_config(**kwargs):
 
 def test_run_paired_identity_baseline_is_exact():
     trace = run_paired(run_config(condition="none", theta=math.inf))
-    assert trace.steps == 60
+    assert len(trace.u_physical) == len(trace.u_twin) == len(trace.metric_values) == 60
     assert trace.updates == 0
     assert trace.avg_utility_deviation() == 0.0
     assert trace.u_physical == trace.u_twin
@@ -372,8 +378,8 @@ def test_run_paired_free_twin_matches_standalone_run():
     _, walk = agent_streams(5, twin.drone_ids, steps=40)
     oracle = []
     for t in range(40):
-        oracle.append(utility_k(twin, SMALL.k))
-        twin, _ = step_world(twin, choice[t].tolist(), walk[t].tolist())
+        oracle.append(utility_k(twin))
+        twin = step_world(twin, choice[t].tolist(), walk[t].tolist())
     assert trace.u_twin == oracle
 
 
@@ -406,14 +412,14 @@ def test_run_paired_window_sums_only_steps_since_the_last_resync():
     trace = run_paired(run_config(condition="I", checker="state", theta=theta,
                                   l=l, steps=100))
     expected, since = [], 0
-    for t in range(trace.steps):
+    for t in range(len(trace.updated)):
         window = trace.metric_values[max(since, t - l):t + 1]
         fired = sum(window) > theta
         expected.append(fired)
         if fired:
             since = t + 1
     assert trace.updated == expected
-    assert 0 < trace.updates < trace.steps
+    assert 0 < trace.updates < len(trace.updated)
 
 
 @pytest.mark.parametrize("l", [1, 3, 10])
@@ -442,6 +448,32 @@ def test_run_paired_update_window_sums_the_trace_since_the_last_resync(
         since = t + 1
 
 
+@pytest.mark.parametrize("checker,deviation", [
+    ("action", coarse_action_deviation),
+    ("action2", lambda p, t: mean_fine_action_deviation(p, t, SMALL.k)),
+], ids=["action", "action2"])
+def test_forced_resyncs_score_the_restepped_twins_actions(checker, deviation):
+    # theta = -1 resyncs at every step, so the twin leaving step t is the
+    # physical world at t and carries its actions. The metric at t + 1 must
+    # compare the physical actions with those of the twin stepped again from
+    # there, never with the carried-over records (that would always read 0).
+    steps = 60
+    trace = run_paired(run_config(condition="I", checker=checker, theta=-1.0, steps=steps))
+    physical = SMALL.build_world()
+    phys_choice, walk = agent_streams(5, physical.drone_ids, steps=steps)
+    (twin_choice,) = agent_streams(6, physical.drone_ids, steps=steps,
+                                   channels=(CHANNEL_CHOICE,))
+    expected = [0.0]  # fresh worlds carry no actions
+    for t in range(steps - 1):
+        twin = step_world(physical, twin_choice[t].tolist(), walk[t].tolist())
+        physical = step_world(physical, phys_choice[t].tolist(), walk[t].tolist(),
+                              bias_degrees=3.0)
+        expected.append(deviation(physical.actions, twin.actions))
+    assert all(trace.updated)
+    assert trace.metric_values == expected
+    assert any(v > 0.0 for v in expected)
+
+
 def test_run_paired_checker_grid_and_window():
     trace = run_paired(run_config(condition="I", theta=-1.0, q=5, steps=31))
     assert update_steps(trace) == [0, 5, 10, 15, 20, 25, 30]
@@ -468,6 +500,9 @@ def test_run_paired_validates_config():
     ("bias_mode", "sideways"),
     # integers only: 1.5 would check at steps 0, 3, 6, ...; the rest fail mid-run
     ("q", 1.5), ("steps", 3.0), ("l", 2.5), ("seed", 1.5), ("q", True), ("steps", False),
+    # theta is a number: a string or None would fail inside math.isnan naming
+    # no field, and True would run as 1 and reach the summary as 'True'
+    ("theta", "2"), ("theta", None), ("theta", True),
 ])
 def test_run_config_names_each_bad_field(field, value):
     with pytest.raises(harness.ConfigError, match=f"^{field} ") as exc:
@@ -496,25 +531,17 @@ def test_run_paired_action2_memory_cost_is_the_mean_of_step_costs():
     phys_choice, walk = agent_streams(5, physical.drone_ids, steps=40)
     (twin_choice,) = agent_streams(6, physical.drone_ids, steps=40,
                                    channels=(CHANNEL_CHOICE,))
-    prev_p, prev_t, costs = (), (), []
+    costs = []
     for t in range(40):
         costs.append(comparison_memory_cost(
             "action2", 5, 8, k=SMALL.k,
-            step_kinds=([a.kind.value for a in prev_p], [a.kind.value for a in prev_t])))
-        physical, prev_p = step_world(physical, phys_choice[t].tolist(), walk[t].tolist(),
-                                      bias_degrees=3.0)
-        twin, prev_t = step_world(twin, twin_choice[t].tolist(), walk[t].tolist())
+            step_kinds=([a.kind.value for a in physical.actions],
+                        [a.kind.value for a in twin.actions])))
+        physical = step_world(physical, phys_choice[t].tolist(), walk[t].tolist(),
+                              bias_degrees=3.0)
+        twin = step_world(twin, twin_choice[t].tolist(), walk[t].tolist())
     assert len(set(costs)) > 2
     assert trace.memory_cost == sum(costs) / len(costs)
-
-
-def test_trace_rows_shape():
-    trace = run_paired(run_config(steps=12))
-    rows = list(trace.rows())
-    assert len(rows) == 12
-    t, up, ut, mv, upd = rows[0]
-    assert t == 0 and isinstance(upd, int)
-    assert 0.0 <= up <= 1.0 and 0.0 <= ut <= 1.0
 
 
 def test_summary_row_matches_header_and_reprs():

@@ -1,7 +1,9 @@
 """Domain types: world construction, fleet knowledge, scene files and validation."""
 
+import json
 import math
 import re
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -14,8 +16,6 @@ from twinsync.model import (
     SceneDrone,
     SceneObject,
     SceneSpec,
-    decode_scene,
-    encode_scene,
     load_scene,
     save_scene,
     scene_from_dict,
@@ -72,6 +72,11 @@ def test_build_world_starts_fresh():
     assert world.important[0] is True
 
 
+def test_build_world_carries_no_actions():
+    # no step made a fresh world, so it holds no action records
+    assert SCENE.build_world().actions == ()
+
+
 def test_world_params_are_the_scene_with_its_bounds():
     scene = make_scene(drones=[(0, 1.0, 2.0)], objects=[(0, 5.0, 5.0, 0.0, True)],
                        width=50.0, height=30.0)
@@ -79,26 +84,25 @@ def test_world_params_are_the_scene_with_its_bounds():
     assert scene.build_world().params is scene
 
 
-def test_with_overrides_keeps_none_and_replaces_rest():
-    assert SCENE.with_overrides(k=None, gamma=None) is SCENE
-    changed = SCENE.with_overrides(k=3, sensing_range=7.0, gamma=None)
-    assert changed.k == 3
-    assert changed.sensing_range == 7.0
-    assert changed.gamma == SCENE.gamma
-    assert changed.drones == SCENE.drones
-
-
 def test_scene_dict_roundtrip_is_identity():
     assert scene_from_dict(scene_to_dict(SCENE)) == SCENE
 
 
+def saved_text(scene: SceneSpec) -> str:
+    """The text save_scene writes for a scene."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scene.json"
+        save_scene(scene, path)
+        return path.read_text()
+
+
 def test_scene_text_roundtrip_is_identity():
-    assert decode_scene(encode_scene(SCENE)) == SCENE
+    assert scene_from_dict(json.loads(saved_text(SCENE))) == SCENE
 
 
-def test_encode_scene_is_stable_text():
-    text = encode_scene(SCENE)
-    assert text == encode_scene(SCENE)
+def test_saved_scene_is_stable_text():
+    text = saved_text(SCENE)
+    assert text == saved_text(SCENE)
     assert text.endswith("\n")
     assert '"range"' in text
 
@@ -209,8 +213,9 @@ scenes = st.builds(
 
 @given(scenes)
 @settings(max_examples=100, deadline=None)
-def test_scene_decode_encode_roundtrip_property(scene):
-    decoded = decode_scene(encode_scene(scene))
+def test_scene_save_decode_roundtrip_property(scene):
+    # any scene, valid or not: load_scene would reject the invalid ones
+    decoded = scene_from_dict(json.loads(saved_text(scene)))
     assert decoded == scene
     assert all(type(v) is float for d in decoded.drones for v in d[1:])
     assert all(type(o.important) is bool for o in decoded.objects)

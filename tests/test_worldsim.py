@@ -30,12 +30,11 @@ BOUNDS = (50.0, 50.0)
 
 
 def run_steps(world, streams, steps, t0=0, **kwargs):
-    """Step a world `steps` times from tape row t0; returns it and the last actions."""
+    """Step a world `steps` times from tape row t0; it carries the last actions."""
     choice, walk = streams
-    actions = ()
     for t in range(t0, t0 + steps):
-        world, actions = step_world(world, choice[t].tolist(), walk[t].tolist(), **kwargs)
-    return world, actions
+        world = step_world(world, choice[t].tolist(), walk[t].tolist(), **kwargs)
+    return world
 
 
 # ------------------------------------------------------------
@@ -202,10 +201,10 @@ def test_utility_counts_k_covered_fraction():
     drones = [(i, float(i * 10), 0.0) for i in range(3)]
     drones += [(10 + i, float(i * 10), 1.0) for i in range(3)]
     objects = [(i, float(i * 10), 2.0, 0.0, True) for i in range(10)]
-    world = world_of(drones, objects, sensing_range=3.0)
-    assert utility_k(world, 2) == pytest.approx(0.3)
-    assert utility_k(world, 1) == pytest.approx(0.3)
-    assert utility_k(world, 3) == 0.0
+    for k, expected in ((2, 0.3), (1, 0.3), (3, 0.0)):
+        # k is the scene's: the world reads it from its params
+        world = world_of(drones, objects, sensing_range=3.0, k=k)
+        assert utility_k(world) == pytest.approx(expected)
 
 
 # ------------------------------------------------------------
@@ -215,8 +214,8 @@ def test_utility_counts_k_covered_fraction():
 
 def test_step_world_without_drones_moves_objects_only():
     world = world_of([], [(0, 5.0, 5.0, 0.0, True)])
-    stepped, actions = step_world(world, [], [])
-    assert actions == ()
+    stepped = step_world(world, [], [])
+    assert stepped.actions == ()
     assert stepped.time == 1
     assert stepped.object_x[0] == pytest.approx(6.0)
 
@@ -235,9 +234,9 @@ def test_step_world_is_pure_and_deterministic():
     w1, w2 = scene.build_world(), scene.build_world()
     tapes = agent_streams(7, [0, 1], steps=20)
     for t in range(20):
-        w1, a1 = run_steps(w1, tapes, 1, t0=t)
-        w2, a2 = run_steps(w2, tapes, 1, t0=t)
-        assert a1 == a2
+        w1 = run_steps(w1, tapes, 1, t0=t)
+        w2 = run_steps(w2, tapes, 1, t0=t)
+        assert w1.actions == w2.actions
     assert columns(w1) == columns(w2)
     assert np.array_equal(w1.weights, w2.weights)
     assert np.array_equal(w1.in_range, w2.in_range)
@@ -252,8 +251,9 @@ def test_step_world_counts_and_clock():
     tapes = agent_streams(3, [0, 1], steps=40)
     for t in range(40):
         assert world.time == t
-        world, actions = run_steps(world, tapes, 1, t0=t)
-        assert len(actions) == 2
+        world = run_steps(world, tapes, 1, t0=t)
+        assert len(world.actions) == 2
+        assert tuple(a.drone_id for a in world.actions) == world.drone_ids
         assert len(world.drone_x) == len(world.drone_y) == len(world.inbox) == 2
         assert len(world.object_x) == len(world.coverage) == 1
         assert all(0 <= x <= 50 for x in world.drone_x)
@@ -270,7 +270,7 @@ def test_step_world_importance_flips_at_period():
     tapes = agent_streams(0, [0], steps=10)
     flags = [world.important[0]]
     for t in range(10):
-        world, _ = run_steps(world, tapes, 1, t0=t)
+        world = run_steps(world, tapes, 1, t0=t)
         flags.append(world.important[0])
     # toggles when the post-step clock hits 5 and 10
     assert flags[:6] == [True] * 5 + [False]
@@ -289,15 +289,15 @@ def test_step_world_delivers_messages_next_step():
     world = notify_scene().build_world()
     tapes = agent_streams(1, [0, 1], steps=2)
 
-    world, actions = run_steps(world, tapes, 1)
-    assert actions[0].kind is ActionKind.NOTIFY_AND_FOLLOW
-    assert actions[0].notified_drones == {1}
+    world = run_steps(world, tapes, 1)
+    assert world.actions[0].kind is ActionKind.NOTIFY_AND_FOLLOW
+    assert world.actions[0].notified_drones == {1}
     # (sender index, object id, x, y): the object's position when sent
     assert world.inbox == ((), ((0, 0, 1.0, 0.0),))
 
-    world2, actions2 = run_steps(world, tapes, 1, t0=1)
-    assert actions2[1].kind is ActionKind.RESPOND_AND_FOLLOW
-    assert actions2[1].responded_to == 0
+    world2 = run_steps(world, tapes, 1, t0=1)
+    assert world2.actions[1].kind is ActionKind.RESPOND_AND_FOLLOW
+    assert world2.actions[1].responded_to == 0
     # the old request expired; the re-notification replaced it
     assert world2.inbox == ((), ((0, 0, world.object_x[0], world.object_y[0]),))
 
@@ -305,11 +305,11 @@ def test_step_world_delivers_messages_next_step():
 def test_step_world_responder_moves_toward_advertised_position():
     world = notify_scene().build_world()
     tapes = agent_streams(1, [0, 1], steps=2)
-    world, _ = run_steps(world, tapes, 1)
+    world = run_steps(world, tapes, 1)
     before = (world.drone_x[1], world.drone_y[1])
-    world, actions = run_steps(world, tapes, 1, t0=1)
+    world = run_steps(world, tapes, 1, t0=1)
     after = (world.drone_x[1], world.drone_y[1])
-    assert actions[1].kind is ActionKind.RESPOND_AND_FOLLOW
+    assert world.actions[1].kind is ActionKind.RESPOND_AND_FOLLOW
     moved = math.hypot(after[0] - before[0], after[1] - before[1])
     assert moved == pytest.approx(2.0)
     # strictly closer to the advertised object position (1, 0)
@@ -319,8 +319,8 @@ def test_step_world_responder_moves_toward_advertised_position():
 def test_step_world_random_walk_budget():
     scene = make_scene(drones=[(0, 25.0, 25.0)], objects=[(0, 5.0, 5.0, 0.0, False)])
     world = scene.build_world()
-    world, actions = step_world(world, [0.5], [0.3])
-    assert actions[0].kind is ActionKind.RANDOM_WALK
+    world = step_world(world, [0.5], [0.3])
+    assert world.actions[0].kind is ActionKind.RANDOM_WALK
     assert math.hypot(world.drone_x[0] - 25.0, world.drone_y[0] - 25.0) == pytest.approx(5.0)
     # the walk draw is the heading as a fraction of a full turn
     angle = math.degrees(math.atan2(world.drone_y[0] - 25.0, world.drone_x[0] - 25.0))
@@ -335,10 +335,10 @@ def test_step_world_evolves_pheromone_edges():
     )
     world = scene.build_world()
     tapes = agent_streams(5, [0, 1], steps=2)
-    world, _ = run_steps(world, tapes, 1)
+    world = run_steps(world, tapes, 1)
     assert world.weights[0, 1] == pytest.approx(1.0)
     assert world.weights[1, 0] == pytest.approx(1.0)
-    world, _ = run_steps(world, tapes, 1, t0=1)
+    world = run_steps(world, tapes, 1, t0=1)
     w01 = world.weights[0, 1]
     assert w01 == pytest.approx(0.9 + 1.0)
     assert not world.weights.flags.writeable
@@ -347,15 +347,15 @@ def test_step_world_evolves_pheromone_edges():
 def test_step_world_bias_only_affects_objects():
     scene = notify_scene()
     tapes = agent_streams(4, [0, 1], steps=1)
-    w_plain, _ = run_steps(scene.build_world(), tapes, 1)
-    w_biased, _ = run_steps(scene.build_world(), tapes, 1, bias_degrees=3.0)
+    w_plain = run_steps(scene.build_world(), tapes, 1)
+    w_biased = run_steps(scene.build_world(), tapes, 1, bias_degrees=3.0)
     assert (w_plain.drone_x, w_plain.drone_y) == (w_biased.drone_x, w_biased.drone_y)
     assert w_plain.object_y != w_biased.object_y
 
 
 def test_step_world_columns_hold_python_scalars():
     # per-entity math runs on Python floats; numpy scalars would slow it down
-    world, _ = run_steps(notify_scene().build_world(), agent_streams(1, [0, 1], steps=3), 3)
+    world = run_steps(notify_scene().build_world(), agent_streams(1, [0, 1], steps=3), 3)
     for name in ("object_ids", "drone_ids", "coverage"):
         assert all(type(v) is int for v in getattr(world, name)), name
     for name in ("object_x", "object_y", "object_dir", "drone_x", "drone_y"):
@@ -398,8 +398,8 @@ def test_step_world_matches_object_reference(seed, m, n, k, bias, bias_mode, ste
     choice, walk = agent_streams(seed, ids, steps=steps)
     streams = reference_agent_streams(seed, ids)
     for t in range(steps):
-        world, actions = step_world(world, choice[t].tolist(), walk[t].tolist(),
-                                    bias_degrees=bias, bias_mode=bias_mode)
+        world = step_world(world, choice[t].tolist(), walk[t].tolist(),
+                           bias_degrees=bias, bias_mode=bias_mode)
         ref, ref_actions = reference_step(ref, streams, bias_degrees=bias,
                                           bias_mode=bias_mode)
         assert world.time == ref.time
@@ -417,6 +417,6 @@ def test_step_world_matches_object_reference(seed, m, n, k, bias, bias_mode, ste
         assert world.weights.tobytes() == ref.weights.tobytes()
         assert np.array_equal(world.in_range, ref.in_range)
         assert world.coverage == tuple(ref.in_range.sum(axis=0).tolist())
-        assert [tuple(a) for a in actions] == [
+        assert [tuple(a) for a in world.actions] == [
             (a.drone_id, a.kind, a.followed_object, a.notified_drones, a.responded_to)
             for a in ref_actions]
