@@ -18,6 +18,7 @@ import argparse
 import csv
 import math
 import os
+import statistics
 import sys
 from contextlib import contextmanager
 from dataclasses import fields, replace
@@ -38,12 +39,11 @@ from .harness import (
     STREAM_SCENE,
     ConfigError,
     StrategyStudyConfig,
+    Trace,
     TwinRunConfig,
     derive_rng,
     run_paired,
     run_strategy_study,
-    summary_row,
-    SUMMARY_HEADER,
 )
 from .model import (
     SceneDrone,
@@ -257,6 +257,40 @@ def _write_csv(path: str, header, rows) -> None:
         writer.writerows(rows)
 
 
+# The solutions CSV: one summary row per paired run, written by run and
+# sweep and read by pareto. Floats are written with repr, so they read back
+# exactly.
+SUMMARY_HEADER = (
+    "scene",
+    "condition",
+    "checker",
+    "theta",
+    "q",
+    "l",
+    "seed",
+    "repeat",
+    "updates",
+    "avg_utility_deviation",
+    "memory_cost",
+)
+
+
+def summary_row(config: TwinRunConfig, trace: Trace, repeat: int) -> tuple:
+    return (
+        config.scene_name,
+        config.condition,
+        config.checker,
+        repr(config.theta),
+        config.q,
+        config.l,
+        config.seed,
+        repeat,
+        trace.updates,
+        repr(trace.avg_utility_deviation()),
+        repr(trace.memory_cost),
+    )
+
+
 # ============================================================
 # Subcommands
 # ============================================================
@@ -289,7 +323,7 @@ def _cmd_run(args) -> int:
     _write_csv(args.trace, ("t", "u_physical", "u_twin", "metric_value", "updated"),
                ((t, repr(up), repr(ut), repr(mv), int(upd))
                 for t, (up, ut, mv, upd) in enumerate(columns)))
-    row = summary_row(trace, repeat=0)
+    row = summary_row(config, trace, repeat=0)
     _write_csv(args.summary, SUMMARY_HEADER, [row])
     print(",".join(str(v) for v in row))
     return EXIT_OK
@@ -297,7 +331,7 @@ def _cmd_run(args) -> int:
 
 def _sweep_worker(work: tuple[TwinRunConfig, int]) -> tuple:
     config, repeat = work
-    return summary_row(run_paired(config), repeat=repeat)
+    return summary_row(config, run_paired(config), repeat)
 
 
 def _cmd_sweep(args) -> int:
@@ -342,9 +376,10 @@ def _cmd_strategy_study(args) -> int:
     result = run_strategy_study(config)
     rows = []
     for strategy in STRATEGIES:
-        n = len(result.deviations[strategy])
-        rows.append((name, args.condition, strategy, n,
-                     repr(result.mean(strategy)), repr(result.stdev(strategy))))
+        values = result.deviations[strategy]
+        stdev = statistics.stdev(values) if len(values) > 1 else 0.0
+        rows.append((name, args.condition, strategy, len(values),
+                     repr(statistics.fmean(values)), repr(stdev)))
     _write_csv(args.out, ("scene", "condition", "strategy", "n", "mean_dev", "stdev_dev"),
                rows)
     for row in rows:
@@ -358,8 +393,10 @@ _SOLUTION_NUMBERS = ("theta", "updates", "avg_utility_deviation")
 def _read_solutions(path: str) -> list[tuple[dict, float, SolutionPoint]]:
     """Each solutions row with its theta and its (deviation, updates) point.
 
-    A value that is not a number is a usage error naming the file, the row
-    (the header is row 1) and the column.
+    A value that is not a number, an update count that is not an integer
+    >= 0, or a deviation that is not finite and >= 0 is a usage error
+    naming the file, the row (the header is row 1) and the column. theta may
+    be any number, -1 and inf included.
     """
     try:
         with open(path, newline="") as fh:
@@ -380,8 +417,14 @@ def _read_solutions(path: str) -> list[tuple[dict, float, SolutionPoint]]:
             except (TypeError, ValueError):  # a short row leaves None
                 raise UsageError(f"{path} row {number}: {column} must be a number, "
                                  f"got {row[column]!r}") from None
-        parsed.append((row, values["theta"],
-                       SolutionPoint(values["avg_utility_deviation"], values["updates"])))
+        updates, dev = values["updates"], values["avg_utility_deviation"]
+        if not (updates >= 0 and updates.is_integer()):
+            raise UsageError(f"{path} row {number}: updates must be an integer >= 0, "
+                             f"got {row['updates']!r}")
+        if not 0 <= dev < math.inf:  # NaN fails too
+            raise UsageError(f"{path} row {number}: avg_utility_deviation must be finite "
+                             f"and >= 0, got {row['avg_utility_deviation']!r}")
+        parsed.append((row, values["theta"], SolutionPoint(dev, updates)))
     return parsed
 
 
@@ -407,7 +450,7 @@ def _cmd_pareto(args) -> int:
     if not baseline_devs:
         raise UsageError("no theta=inf baseline rows; sweep must include theta inf")
     baseline = left_sum(baseline_devs) / len(baseline_devs)
-    if not baseline > 0:  # NaN fails too
+    if not baseline > 0:
         raise UsageError("baseline avg_utility_deviation (mean of the theta=inf rows) "
                          f"must be > 0, got {baseline!r}")
 

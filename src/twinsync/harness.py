@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass, field, replace
 from numbers import Integral, Real
 from typing import Iterable
@@ -221,7 +220,6 @@ class TwinRunConfig:
 class Trace:
     """Per-step record of one paired run plus its final counters."""
 
-    config: TwinRunConfig
     u_physical: list[float] = field(default_factory=list)
     u_twin: list[float] = field(default_factory=list)
     metric_values: list[float] = field(default_factory=list)
@@ -266,7 +264,7 @@ def run_paired(config: TwinRunConfig) -> Trace:
         twin_choice = phys_choice
     noise_rng = derive_rng(config.seed, STREAM_NOISE)
 
-    trace = Trace(config)
+    trace = Trace()
     since = 0  # first step of the current twin's check window
     cost = 0.0  # running sum of the per-step memory costs, each an integer
 
@@ -307,42 +305,6 @@ def run_paired(config: TwinRunConfig) -> Trace:
 
     trace.memory_cost = cost / config.steps
     return trace
-
-
-# ============================================================
-# Summary rows (shared by run and sweep)
-# ============================================================
-
-SUMMARY_HEADER = (
-    "scene",
-    "condition",
-    "checker",
-    "theta",
-    "q",
-    "l",
-    "seed",
-    "repeat",
-    "updates",
-    "avg_utility_deviation",
-    "memory_cost",
-)
-
-
-def summary_row(trace: Trace, repeat: int = 0) -> tuple:
-    cfg = trace.config
-    return (
-        cfg.scene_name,
-        cfg.condition,
-        cfg.checker,
-        repr(cfg.theta),
-        cfg.q,
-        cfg.l,
-        cfg.seed,
-        repeat,
-        trace.updates,
-        repr(trace.avg_utility_deviation()),
-        repr(trace.memory_cost),
-    )
 
 
 # ============================================================
@@ -387,16 +349,8 @@ class StrategyStudyConfig:
 class StrategyStudyResult:
     """Per-strategy deviation samples, one per (repeat, start time)."""
 
-    config: StrategyStudyConfig
     start_times: list[int]
     deviations: dict[str, list[float]]
-
-    def mean(self, strategy: str) -> float:
-        return statistics.fmean(self.deviations[strategy])
-
-    def stdev(self, strategy: str) -> float:
-        values = self.deviations[strategy]
-        return statistics.stdev(values) if len(values) > 1 else 0.0
 
 
 def run_strategy_study(config: StrategyStudyConfig) -> StrategyStudyResult:
@@ -475,4 +429,4 @@ def run_strategy_study(config: StrategyStudyConfig) -> StrategyStudyResult:
                     gaps.append(abs(u_phys[update_at + step] - utility_k(branch)))
                 deviations[strategy].append(left_sum(gaps) / len(gaps))
 
-    return StrategyStudyResult(config, start_times, deviations)
+    return StrategyStudyResult(start_times, deviations)

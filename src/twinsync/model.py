@@ -154,92 +154,83 @@ class SceneSpec:
         )
 
 
-def scene_to_dict(scene: SceneSpec) -> dict:
-    return {
-        "width": scene.width,
-        "height": scene.height,
-        "k": scene.k,
-        "range": scene.sensing_range,
-        "gamma": scene.gamma,
-        "delta": scene.delta,
-        "importance_period": scene.importance_period,
-        "drones": [{"id": d.id, "x": d.x, "y": d.y} for d in scene.drones],
-        "objects": [
-            {
-                "id": o.id,
-                "x": o.x,
-                "y": o.y,
-                "direction": o.direction,
-                "important": o.important,
-            }
-            for o in scene.objects
-        ],
-    }
-
-
 # JSON types a scene field may hold, by the name error messages give them.
 # bool is not a number here, and a float is not an integer.
+_NUMBER, _INTEGER, _BOOL = "a number", "an integer", "true or false"
 _JSON_TYPES = {
-    "a number": (int, float),
-    "an integer": (int,),
-    "true or false": (bool,),
+    _NUMBER: (int, float),
+    _INTEGER: (int,),
+    _BOOL: (bool,),
     "a list": (list,),
     "an object": (dict,),
 }
+
+# The scene file, in key order: (JSON key, SceneSpec field, JSON type). An
+# entity list's type is its entry's NamedTuple, whose fields are the entry's
+# keys, with one JSON type per field.
+_SCENE_FIELDS = (
+    ("width", "width", _NUMBER),
+    ("height", "height", _NUMBER),
+    ("k", "k", _INTEGER),
+    ("range", "sensing_range", _NUMBER),
+    ("gamma", "gamma", _NUMBER),
+    ("delta", "delta", _NUMBER),
+    ("importance_period", "importance_period", _INTEGER),
+    ("drones", "drones", (SceneDrone, (_INTEGER, _NUMBER, _NUMBER))),
+    ("objects", "objects", (SceneObject, (_INTEGER, _NUMBER, _NUMBER, _NUMBER, _BOOL))),
+)
+
+
+def scene_to_dict(scene: SceneSpec) -> dict:
+    data = {}
+    for key, attr, kind in _SCENE_FIELDS:
+        value = getattr(scene, attr)
+        data[key] = [entry._asdict() for entry in value] if isinstance(kind, tuple) else value
+    return data
 
 
 def _checked(value, path: str, kind: str):
     if type(value) not in _JSON_TYPES[kind]:
         raise ValueError(f"malformed scene data: {path} must be {kind}, got {value!r}")
-    return float(value) if kind == "a number" else value
+    return float(value) if kind == _NUMBER else value
 
 
-def _field(obj: dict, key: str, prefix: str, kind: str):
-    path = f"{prefix}.{key}" if prefix else key
-    if key not in obj:
-        raise ValueError(f"malformed scene data: missing field {path}")
-    return _checked(obj[key], path, kind)
-
-
-def _entries(data: dict, key: str) -> list[tuple[dict, str]]:
-    """The objects of a list field, each with its path, like `drones[0]`."""
-    return [(_checked(entry, f"{key}[{i}]", "an object"), f"{key}[{i}]")
-            for i, entry in enumerate(_field(data, key, "", "a list"))]
+def _decoded(obj: dict, prefix: str, fields) -> list:
+    """The values of an object's (key, JSON type) fields, in order; any other
+    key is an error. An entity list decodes to a tuple of its entry type.
+    Paths in messages are `prefix + key`, such as `drones[0].` + `x`."""
+    values = []
+    for key, kind in fields:
+        path = prefix + key
+        if key not in obj:
+            raise ValueError(f"malformed scene data: missing field {path}")
+        if isinstance(kind, tuple):  # an entity list
+            entry, kinds = kind
+            entry_fields = tuple(zip(entry._fields, kinds))
+            items = [_checked(item, f"{path}[{i}]", "an object")
+                     for i, item in enumerate(_checked(obj[key], path, "a list"))]
+            values.append(tuple(entry(*_decoded(item, f"{path}[{i}].", entry_fields))
+                                for i, item in enumerate(items)))
+        else:
+            values.append(_checked(obj[key], path, kind))
+    known = {key for key, _ in fields}
+    for key in obj:
+        if key not in known:
+            raise ValueError(f"malformed scene data: unknown field {prefix}{key}")
+    return values
 
 
 def scene_from_dict(data: dict) -> SceneSpec:
     """Decode parsed scene JSON without coercing any value's type.
 
     Numbers must be JSON numbers, `k`, `importance_period` and ids JSON
-    integers, and `important` a JSON bool. Anything else raises ValueError
-    naming the field's path, such as `objects[0].important`.
+    integers, and `important` a JSON bool; a key the scene file does not
+    have is an error. Anything else raises ValueError naming the field's
+    path, such as `objects[0].important`.
     """
     _checked(data, "scene", "an object")
-    number = "a number"
-    return SceneSpec(
-        width=_field(data, "width", "", number),
-        height=_field(data, "height", "", number),
-        k=_field(data, "k", "", "an integer"),
-        sensing_range=_field(data, "range", "", number),
-        gamma=_field(data, "gamma", "", number),
-        delta=_field(data, "delta", "", number),
-        importance_period=_field(data, "importance_period", "", "an integer"),
-        drones=tuple(
-            SceneDrone(_field(d, "id", p, "an integer"), _field(d, "x", p, number),
-                       _field(d, "y", p, number))
-            for d, p in _entries(data, "drones")
-        ),
-        objects=tuple(
-            SceneObject(
-                _field(o, "id", p, "an integer"),
-                _field(o, "x", p, number),
-                _field(o, "y", p, number),
-                _field(o, "direction", p, number),
-                _field(o, "important", p, "true or false"),
-            )
-            for o, p in _entries(data, "objects")
-        ),
-    )
+    values = _decoded(data, "", [(key, kind) for key, _, kind in _SCENE_FIELDS])
+    return SceneSpec(**{attr: value for (_, attr, _), value in zip(_SCENE_FIELDS, values)})
 
 
 def parameter_violations(scene: SceneSpec) -> list[str]:

@@ -190,6 +190,30 @@ def test_run_unwritable_output_is_a_runtime_error(tmp_path, capsys):
     assert "runtime error" in capsys.readouterr().err
 
 
+def summary_config(**kwargs):
+    settings = dict(scene=load_scene(SCENES / "scene1.json"), scene_name="scene1",
+                    steps=60, seed=5)
+    return TwinRunConfig(**(settings | kwargs))
+
+
+def test_summary_row_matches_header_and_reprs():
+    config = summary_config(theta=math.inf, steps=10)
+    trace = run_paired(config)
+    row = cli.summary_row(config, trace, repeat=3)
+    assert len(row) == len(cli.SUMMARY_HEADER)
+    named = dict(zip(cli.SUMMARY_HEADER, row))
+    assert named["scene"] == "scene1"
+    assert named["theta"] == "inf"
+    assert named["repeat"] == 3
+    assert float(named["avg_utility_deviation"]) == trace.avg_utility_deviation()
+
+
+def test_summary_row_of_a_paired_run_is_reproducible():
+    config = summary_config(condition="I", theta=2.0, checker="knowledge")
+    assert cli.summary_row(config, run_paired(config), 0) == \
+        cli.summary_row(config, run_paired(config), 0)
+
+
 # ------------------------------------------------------------
 # sweep
 # ------------------------------------------------------------
@@ -534,6 +558,14 @@ def test_pareto_rejects_zero_baseline(tmp_path, capsys):
     ("sA,I,state,0,1,1,100,0,x,0.01,10.0", "row 2: updates must be a number, got 'x'"),
     ("sA,I,state,0,1,1,100", "row 2: updates must be a number, got None"),
     ("sA,I,state,zero,1,1,100,0,5,0.01,10.0", "row 2: theta must be a number"),
+    ("sA,I,state,0,1,1,100,0,-500,0.01,10.0",
+     "row 2: updates must be an integer >= 0, got '-500'"),
+    ("sA,I,state,0,1,1,100,0,2.5,0.01,10.0", "row 2: updates must be an integer >= 0, got '2.5'"),
+    ("sA,I,state,0,1,1,100,0,inf,0.01,10.0", "row 2: updates must be an integer >= 0, got 'inf'"),
+    ("sA,I,state,0,1,1,100,0,5,-0.1,10.0",
+     "row 2: avg_utility_deviation must be finite and >= 0, got '-0.1'"),
+    ("sA,I,state,0,1,1,100,0,5,inf,10.0",
+     "row 2: avg_utility_deviation must be finite and >= 0, got 'inf'"),
 ])
 def test_pareto_names_the_row_and_column_of_a_bad_value(tmp_path, capsys, row, named):
     src = tmp_path / "sol.csv"
@@ -554,8 +586,23 @@ def test_pareto_rejects_a_nan_baseline(tmp_path, capsys):
     out = tmp_path / "f.csv"
     rc = main(["pareto", "--input", str(src), "--out", str(out)])
     assert rc == 1
-    assert "baseline avg_utility_deviation" in capsys.readouterr().err
+    # a NaN deviation is refused in its row, before any baseline is taken
+    assert f"{src} row 3: avg_utility_deviation must be finite and >= 0, got 'nan'" \
+        in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_pareto_takes_any_theta_and_a_whole_count(tmp_path, capsys):
+    src = tmp_path / "sol.csv"
+    write_solutions(src, [
+        "sA,I,state,-1,1,1,100,0,1000,0.0,10.0",
+        "sA,I,state,2,1,1,100,0,50.0,0.1,10.0",
+        "sA,I,state,inf,1,1,100,0,0,0.2,10.0",
+    ])
+    out = tmp_path / "f.csv"
+    assert main(["pareto", "--input", str(src), "--out", str(out)]) == 0
+    assert [r[1:4] for r in read_rows(out)[1:4]] == [
+        ["-1", "0.0", "1.0"], ["2", "0.5", "0.05"], ["inf", "1.0", "0.0"]]
 
 
 def test_pareto_rejects_missing_columns(tmp_path, capsys):

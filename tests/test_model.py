@@ -267,13 +267,34 @@ def test_mistyped_scene_field_is_named_and_exits_1(case):
                      "--summary", str(Path(tmp) / "s.csv")]) == 1
 
 
-@pytest.mark.parametrize("path", sorted(FIELD_KINDS))
+# Every key of a scene file, top level and entry level.
+SCENE_KEYS = sorted(FIELD_KINDS) + ["drones", "objects"]
+
+
+@pytest.mark.parametrize("path", SCENE_KEYS)
 def test_missing_scene_field_is_named(path):
     data = scene_to_dict(SCENE)
     holder, key = holder_of(data, path)
     del holder[key]
     with pytest.raises(ValueError, match=re.escape(f"missing field {path}")):
         scene_from_dict(data)
+
+
+@pytest.mark.parametrize("path", SCENE_KEYS)
+def test_unknown_scene_field_is_named_and_exits_1(tmp_path, path):
+    from twinsync.cli import main
+
+    data = scene_to_dict(SCENE)
+    holder, key = holder_of(data, path)
+    holder[key + "_copy"] = holder[key]  # such as sensing_range beside range
+    with pytest.raises(ValueError, match=re.escape(
+            f"malformed scene data: unknown field {path}_copy")):
+        scene_from_dict(data)
+    scene_file = tmp_path / "extra.json"
+    scene_file.write_text(json.dumps(data))
+    assert main(["run", "--scene", str(scene_file), "--steps", "1",
+                 "--trace", str(tmp_path / "t.csv"),
+                 "--summary", str(tmp_path / "s.csv")]) == 1
 
 
 @pytest.mark.parametrize("data,path", [
