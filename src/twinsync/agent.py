@@ -105,8 +105,8 @@ def evolve_knowledge(
     """
     hits = in_range.astype(np.int64)
     shared = hits @ hits.T
-    np.fill_diagonal(shared, 0)
+    shared.flat[:: len(shared) + 1] = 0  # the diagonal; cheaper than np.fill_diagonal
     out = weights * gamma
     for level in range(1, int(shared.max(initial=0)) + 1):
-        out[shared >= level] += delta
+        np.add(out, delta, out=out, where=shared >= level)  # in place, no masked copy
     return read_only(out)

@@ -53,7 +53,6 @@ from .model import (
     parameter_violations,
     save_scene,
 )
-from .worldsim import BIAS_MODES
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -186,23 +185,16 @@ def _config_flags(p: argparse.ArgumentParser, config_type, specs: dict) -> None:
                        help=f"{help_text} (default: %(default)s)", **kwargs)
 
 
-_SHARED_FLAGS = {
-    "condition": ("threat condition", {"choices": sorted(CONDITIONS)}),
-    "bias_mode": ("whether the heading bias compounds", {"choices": BIAS_MODES}),
-    "signed_noise": ("draw estimation noise from [-e, e] instead of [0, e]",
-                     {"action": "store_true"}),
-}
-
 _RUN_FLAGS = {
+    "condition": ("threat condition", {"choices": sorted(CONDITIONS)}),
     "q": ("checking interval", {"type": int}),
     "l": ("window length", {"type": int}),
     "steps": ("simulation steps", {"type": int}),
     "seed": ("physical-side seed; a divergent twin's choices use seed + 1", {"type": int}),
-    "strategy": ("twin update strategy", {"choices": STRATEGIES}),
-    **_SHARED_FLAGS,
 }
 
 _STUDY_FLAGS = {
+    "condition": ("threat condition", {"choices": sorted(CONDITIONS)}),
     "samples": ("sampled start times per repeat", {"type": int}),
     "repeats": ("physical trajectories", {"type": int}),
     "seed": ("study seed", {"type": int}),
@@ -211,7 +203,6 @@ _STUDY_FLAGS = {
     "start_min": ("earliest start time", {"type": int}),
     "start_max": ("latest start time", {"type": int}),
     "horizon": ("last step any episode may reach", {"type": int}),
-    **_SHARED_FLAGS,
 }
 
 
@@ -360,7 +351,9 @@ def _cmd_sweep(args) -> int:
     processes = _pool_size(args.jobs, len(work))
     if processes > 1:
         with Pool(processes=processes) as pool:
-            rows = pool.map(_sweep_worker, work)  # map preserves submission order
+            # map preserves submission order; one run per chunk keeps every
+            # worker busy until the last run is handed out
+            rows = pool.map(_sweep_worker, work, chunksize=1)
     else:
         rows = [_sweep_worker(item) for item in work]
     _write_csv(args.out, SUMMARY_HEADER, rows)

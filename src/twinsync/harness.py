@@ -13,7 +13,7 @@ from .analysis import avg_utility_deviation, comparison_memory_cost, left_sum
 from .equivalence import CHECKERS, windowed_check
 from .model import SceneSpec, WorldState, read_only, validate_scene
 from .agent import build_perceptions
-from .worldsim import BIAS_MODES, clamp_point, step_world, utility_k
+from .worldsim import clamp_point, step_world, utility_k
 
 # ============================================================
 # Randomness plumbing
@@ -91,27 +91,24 @@ def sense_snapshot(
     physical: WorldState,
     threat: ThreatConfig,
     rng: np.random.Generator,
-    signed_noise: bool = False,
 ) -> WorldState:
     """The world the physical side reports when the twin asks for a resync.
 
     Everything is reported exactly, so the snapshot is the physical world
     itself, unless a sensor-limited threat has objects nobody covers. Those
-    get their position estimated with per-coordinate noise (U[0, e] by
-    default, U[-e, e] when signed), drawn x then y in object order and
-    clamped into bounds; the snapshot is then the physical world with the
-    reported positions, sensed once there.
+    get their position estimated with per-coordinate U[0, e] noise, drawn
+    x then y in object order and clamped into bounds; the snapshot is then
+    the physical world with the reported positions, sensed once there.
     """
     if not threat.sensor_limited or all(physical.coverage):
         return physical
     e = threat.estimation_error_max
-    lo = -e if signed_noise else 0.0
     bounds = physical.params.bounds
     object_x, object_y = list(physical.object_x), list(physical.object_y)
     for j, count in enumerate(physical.coverage):
         if count == 0:
             object_x[j], object_y[j] = clamp_point(
-                object_x[j] + rng.uniform(lo, e), object_y[j] + rng.uniform(lo, e), bounds)
+                object_x[j] + rng.uniform(0.0, e), object_y[j] + rng.uniform(0.0, e), bounds)
     in_range, coverage = build_perceptions(
         physical.drone_x, physical.drone_y, object_x, object_y, physical.params.sensing_range)
     return replace(physical, object_x=tuple(object_x), object_y=tuple(object_y),
@@ -127,6 +124,8 @@ def apply_update(twin: WorldState, snapshot: WorldState, strategy: str) -> World
     "update" takes the snapshot's weights, "keep" the twin's own (both
     shared, not copied), and "clear" zeroes every edge. Everything else,
     sensing included, is the snapshot's. Agent draw tapes are never touched.
+    Paired runs always take the snapshot whole; the strategy study compares
+    all three.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown update strategy {strategy!r}")
@@ -194,9 +193,6 @@ class TwinRunConfig:
     l: int = 1
     steps: int = 1000
     seed: int = 0  # a divergent twin draws its choices from seed + 1
-    strategy: str = "update"
-    bias_mode: str = "accumulate"
-    signed_noise: bool = False
 
     def __post_init__(self):
         _one_of(self, "condition", CONDITIONS)
@@ -211,8 +207,6 @@ class TwinRunConfig:
         for name in ("q", "l", "steps"):
             _at_least(self, name, 1)
         _at_least(self, "seed", 0)
-        _one_of(self, "strategy", STRATEGIES)
-        _one_of(self, "bias_mode", BIAS_MODES)
         _valid_scene(self)
 
 
@@ -249,8 +243,7 @@ def run_paired(config: TwinRunConfig) -> Trace:
     """
     threat = CONDITIONS[config.condition]
     checker = CHECKERS[config.checker]
-    physical = config.scene.build_world()
-    twin = config.scene.build_world()
+    physical = twin = config.scene.build_world()  # world states are immutable
     m, n_obj = len(physical.drone_ids), len(physical.object_ids)
 
     ids = physical.drone_ids
@@ -280,10 +273,10 @@ def run_paired(config: TwinRunConfig) -> Trace:
             trace.metric_values, t, config.q, config.l, config.theta, since
         )
         if outcome.triggered:
-            snapshot = sense_snapshot(physical, threat, noise_rng, config.signed_noise)
-            # the resynced twin carries the physical world's actions, but it
-            # steps again before the next metric reads them
-            twin = apply_update(twin, snapshot, config.strategy)
+            # the resynced twin is the snapshot, graphs included; it carries
+            # the physical world's actions, but it steps again before the
+            # next metric reads them
+            twin = sense_snapshot(physical, threat, noise_rng)
             since = t + 1
         trace.updated.append(outcome.triggered)
 
@@ -294,13 +287,8 @@ def run_paired(config: TwinRunConfig) -> Trace:
         trace.u_twin.append(utility_k(twin))
 
         walks = walk[t].tolist()
-        physical = step_world(
-            physical,
-            phys_choice[t].tolist(),
-            walks,
-            bias_degrees=threat.bias_degrees,
-            bias_mode=config.bias_mode,
-        )
+        physical = step_world(physical, phys_choice[t].tolist(), walks,
+                              bias_degrees=threat.bias_degrees)
         twin = step_world(twin, twin_choice[t].tolist(), walks)
 
     trace.memory_cost = cost / config.steps
@@ -330,8 +318,6 @@ class StrategyStudyConfig:
     start_min: int = 1
     start_max: int = 900
     horizon: int = 1000
-    bias_mode: str = "accumulate"
-    signed_noise: bool = False
 
     def __post_init__(self):
         _one_of(self, "condition", CONDITIONS)
@@ -341,7 +327,6 @@ class StrategyStudyConfig:
         _at_least(self, "start_max", self.start_min, "start_min ")
         _at_least(self, "horizon", self.start_max + self.accumulation + self.evaluation,
                   "start_max + accumulation + evaluation = ")
-        _one_of(self, "bias_mode", BIAS_MODES)
         _valid_scene(self)
 
 
@@ -396,13 +381,8 @@ def run_strategy_study(config: StrategyStudyConfig) -> StrategyStudyResult:
         if 0 in clone_points:
             worlds[0] = physical
         for t in range(1, run_to + 1):
-            physical = step_world(
-                physical,
-                choice[t - 1].tolist(),
-                walk[t - 1].tolist(),
-                bias_degrees=threat.bias_degrees,
-                bias_mode=config.bias_mode,
-            )
+            physical = step_world(physical, choice[t - 1].tolist(), walk[t - 1].tolist(),
+                                  bias_degrees=threat.bias_degrees)
             u_phys.append(utility_k(physical))
             if t in clone_points or t in snapshot_points:
                 worlds[t] = physical
@@ -418,9 +398,7 @@ def run_strategy_study(config: StrategyStudyConfig) -> StrategyStudyResult:
                 twin = step_world(twin, c, w)
 
             update_at = start + config.accumulation
-            snapshot = sense_snapshot(
-                worlds[update_at], threat, noise_rng, config.signed_noise
-            )
+            snapshot = sense_snapshot(worlds[update_at], threat, noise_rng)
             for strategy in STRATEGIES:
                 branch = apply_update(twin, snapshot, strategy)
                 gaps = []

@@ -10,8 +10,6 @@ from .model import Request, WorldState
 
 OBJECT_SPEED = 1.0  # units per step
 
-BIAS_MODES = ("accumulate", "fixed")
-
 
 def clamp_point(x: float, y: float, bounds: tuple[float, float]) -> tuple[float, float]:
     return min(max(x, 0.0), bounds[0]), min(max(y, 0.0), bounds[1])
@@ -50,14 +48,12 @@ def move_object(
     direction: float,
     bias_degrees: float,
     bounds: tuple[float, float],
-    accumulate: bool = True,
 ) -> tuple[float, float, float]:
     """Advance one object by one step of unit speed, bouncing off walls.
 
     Returns the new (x, y, direction). The movement heading is the stored
-    direction rotated by `bias_degrees`. With `accumulate` the rotated
-    heading is stored back, so a constant bias compounds step over step;
-    otherwise the stored direction only changes when a wall reflects it.
+    direction rotated by `bias_degrees`, and it is stored back, so a
+    constant bias compounds step over step.
     """
     width, height = bounds
     heading = direction + bias_degrees
@@ -74,8 +70,7 @@ def move_object(
         y = -y if y < 0.0 else 2.0 * height - y
         flip_y = not flip_y
 
-    base = heading if accumulate else direction
-    return x, y, _flip_heading(base, flip_x, flip_y)
+    return x, y, _flip_heading(heading, flip_x, flip_y)
 
 
 def toggle_importance(important: tuple[bool, ...], t: int, period: int) -> tuple[bool, ...]:
@@ -101,7 +96,6 @@ def step_world(
     choice: Sequence[float],
     walk: Sequence[float],
     bias_degrees: float = 0.0,
-    bias_mode: str = "accumulate",
 ) -> WorldState:
     """Advance the world by one step; the new world carries the actions taken.
 
@@ -118,8 +112,6 @@ def step_world(
     channels, in drone order: the pick among sensed objects and the random
     walk heading. Every drone gets both, used or not, so two worlds stepped
     in lockstep stay draw-aligned no matter how their branches differ.
-    `bias_mode` is "accumulate" or "fixed" (see `move_object`); the run
-    and study configs check it when they are built.
     """
     params = world.params
     bounds = params.bounds
@@ -149,10 +141,9 @@ def step_world(
         drone_x.append(x)
         drone_y.append(y)
 
-    accumulate = bias_mode == "accumulate"
     object_x, object_y, object_dir = [], [], []
     for x, y, direction in zip(world.object_x, world.object_y, world.object_dir):
-        x, y, direction = move_object(x, y, direction, bias_degrees, bounds, accumulate)
+        x, y, direction = move_object(x, y, direction, bias_degrees, bounds)
         object_x.append(x)
         object_y.append(y)
         object_dir.append(direction)

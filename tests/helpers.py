@@ -240,7 +240,7 @@ def _ref_flip_heading(direction, flip_x, flip_y):
     return math.degrees(math.atan2(cy, cx)) % 360.0
 
 
-def _ref_move_object(obj, bias_degrees, bounds, bias_mode):
+def _ref_move_object(obj, bias_degrees, bounds):
     width, height = bounds
     heading = obj.direction + bias_degrees
     rad = math.radians(heading)
@@ -254,8 +254,7 @@ def _ref_move_object(obj, bias_degrees, bounds, bias_mode):
     while y < 0.0 or y > height:
         y = -y if y < 0.0 else 2.0 * height - y
         flip_y = not flip_y
-    base = heading if bias_mode == "accumulate" else obj.direction
-    return RefObject(obj.id, RefVec2(x, y), _ref_flip_heading(base, flip_x, flip_y),
+    return RefObject(obj.id, RefVec2(x, y), _ref_flip_heading(heading, flip_x, flip_y),
                      obj.important)
 
 
@@ -283,7 +282,7 @@ def _ref_decide(drone, time, sensed, row, ids, choice, walk, k):
     return RefAction(me, ActionKind.RANDOM_WALK), None, walk * 360.0, 5.0, ()
 
 
-def reference_step(world, rngs, bias_degrees=0.0, bias_mode="accumulate"):
+def reference_step(world, rngs, bias_degrees=0.0):
     """One step of the object-based world, drawing from per-drone generators."""
     scene = world.scene
     bounds = (scene.width, scene.height)
@@ -315,8 +314,7 @@ def reference_step(world, rngs, bias_degrees=0.0, bias_mode="accumulate"):
             pos = _ref_clamp(RefVec2(d.position.x + distance * math.cos(rad),
                                      d.position.y + distance * math.sin(rad)), bounds)
         new_drones.append(RefDrone(d.id, pos, tuple(deliveries.get(d.id, ()))))
-    new_objects = tuple(_ref_move_object(o, bias_degrees, bounds, bias_mode)
-                        for o in objects)
+    new_objects = tuple(_ref_move_object(o, bias_degrees, bounds) for o in objects)
     in_range = reference_perceptions(new_drones, new_objects, scene.sensing_range)
     weights = reference_fleet_evolve(world.weights, in_range, scene.gamma, scene.delta)
     time = world.time + 1

@@ -157,7 +157,7 @@ def test_02_identical_worlds_never_deviate():
 
 
 def test_03_forced_resync_every_step_pins_the_twin():
-    trace = run_paired(run_config(1, theta=-1.0, strategy="update"))
+    trace = run_paired(run_config(1, theta=-1.0))
     assert trace.updates == STEPS
     assert trace.avg_utility_deviation() <= 0.02
 

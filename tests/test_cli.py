@@ -236,12 +236,15 @@ def test_sweep_is_deterministic_across_worker_counts(tmp_path):
     scene = gen_scene(tmp_path)
     serial = tmp_path / "serial.csv"
     pooled = tmp_path / "pooled.csv"
-    base = ["sweep", "--scene", str(scene), "--condition", "I",
-            "--checkers", "knowledge", "--thetas", "0,2", "--repeats", "2",
-            "--steps", "15"]
-    assert main(base + ["--jobs", "1", "--out", str(serial)]) == 0
-    assert main(base + ["--jobs", "2", "--out", str(pooled)]) == 0
-    assert serial.read_bytes() == pooled.read_bytes()
+    # 4 runs, and 9 runs: more than 2 workers x 4 chunks, so chunking matters
+    for thetas, repeats in (("0,2", "2"), ("0,2,inf", "3")):
+        base = ["sweep", "--scene", str(scene), "--condition", "I",
+                "--checkers", "knowledge", "--thetas", thetas, "--repeats", repeats,
+                "--steps", "15"]
+        assert main(base + ["--jobs", "1", "--out", str(serial)]) == 0
+        assert main(base + ["--jobs", "2", "--out", str(pooled)]) == 0
+        assert serial.read_bytes() == pooled.read_bytes()
+        assert len(read_rows(serial)) == 1 + len(thetas.split(",")) * int(repeats)
 
 
 def test_sweep_rejects_bad_theta_list(tmp_path, capsys):
@@ -300,7 +303,8 @@ def test_sweep_starts_no_more_workers_than_runs_or_cores(tmp_path, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
+        def map(self, fn, items, chunksize):
+            assert chunksize == 1  # larger chunks leave a worker idle at the end
             return [fn(item) for item in items]
 
     monkeypatch.setattr(cli, "Pool", SerialPool)
@@ -388,12 +392,12 @@ def test_flag_defaults_are_the_config_defaults(command, config_type):
 @pytest.mark.parametrize("command,shown", [
     ("gen-scene", ["arena width (default: 50.0)", "coverage requirement (default: 2)"]),
     ("run", ["simulation steps (default: 1000)", "equivalence checker (default: state)",
-             "(default: inf)", "twin update strategy (default: update)"]),
+             "(default: inf)", "window length (default: 1)"]),
     ("sweep", ["checking interval (default: 1)",
                "checker list (default: state,knowledge,action,action2)"]),
     ("strategy-study", ["threat condition (default: I)",
                         "steps scored after the update (default: 50)",
-                        "compounds (default: accumulate)"]),
+                        "last step any episode may reach (default: 1000)"]),
     ("pareto", ["update-count normalizer (default: 1000.0)"]),
 ])
 def test_every_subcommand_help_renders_its_defaults(capsys, command, shown):
@@ -641,6 +645,22 @@ def test_gen_scene_names_every_bad_parameter(tmp_path, capsys):
     for field in ("k", "gamma", "range", "importance_period"):
         assert f"{field} must" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("run", ["--strategy", "keep"]), ("run", ["--bias-mode", "fixed"]),
+    ("run", ["--signed-noise"]), ("sweep", ["--strategy", "clear"]),
+    ("sweep", ["--bias-mode", "fixed"]), ("sweep", ["--signed-noise"]),
+    ("strategy-study", ["--bias-mode", "fixed"]), ("strategy-study", ["--signed-noise"]),
+])
+def test_removed_flags_are_usage_errors(tmp_path, monkeypatch, capsys, command, flags):
+    monkeypatch.chdir(tmp_path)  # the default output paths land here
+    extra = ["--thetas", "0", "--jobs", "1"] if command == "sweep" else []
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--scene", str(SCENES / "scene1.json"), *flags, *extra])
+    assert exc.value.code == 1
+    assert f"unrecognized arguments: {flags[0]}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("command", ["run", "sweep", "strategy-study"])

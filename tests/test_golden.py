@@ -1,11 +1,11 @@
 """Golden outputs: SHA-256 of the CSVs that `twinsync run` and `strategy-study` write.
 
-The cases together cover every checker, the conditions none, I and II, the
-three update strategies, q/l = 1/1 and 5/10, both bias modes and signed
-estimation noise, at 200 steps or fewer per run. Any change to what the
-simulator computes, down to the last bit of a float repr, changes a hash.
-A deliberate change of behaviour regenerates the table with `_golden_table`
-and records why in CHANGES.md.
+The run cases together cover every checker, the conditions none, I and II,
+and q/l = 1/1 and 5/10, at 200 steps per run; the study case covers all
+three update strategies. Any change to what the simulator computes, down to
+the last bit of a float repr, changes a hash. A deliberate change of
+behaviour regenerates the table with `_golden_table` and records why in
+CHANGES.md.
 """
 
 from __future__ import annotations
@@ -20,31 +20,28 @@ from twinsync.cli import main
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
 STEPS = "200"
 
-# name: (scene, condition, checker, theta, strategy, q, l, extra flags)
+# name: (scene, condition, checker, theta, q, l)
 RUNS = {
-    "none-state-update": ("scene1", "none", "state", "0.5", "update", 1, 1, []),
-    "none-knowledge-forced": ("scene2", "none", "knowledge", "-1", "update", 1, 1, []),
-    "I-knowledge-update": ("scene2", "I", "knowledge", "2", "update", 1, 1, []),
-    "I-action-keep": ("scene1", "I", "action", "0.2", "keep", 1, 1, []),
-    "I-action2-clear-fixed": ("scene4", "I", "action2", "0.3", "clear", 5, 10,
-                              ["--bias-mode", "fixed"]),
-    "I-state-free": ("scene3", "I", "state", "inf", "update", 1, 1, []),
-    "II-state-update": ("scene3", "II", "state", "1", "update", 5, 10, []),
-    "II-knowledge-clear-signed": ("scene5", "II", "knowledge", "1", "clear", 1, 1,
-                                  ["--signed-noise"]),
-    "II-action2-keep-signed-fixed": ("scene6", "II", "action2", "0.5", "keep", 5, 10,
-                                     ["--signed-noise", "--bias-mode", "fixed"]),
-    "II-action-update": ("scene4", "II", "action", "0.1", "update", 1, 1, []),
+    "none-state-update": ("scene1", "none", "state", "0.5", 1, 1),
+    "none-knowledge-forced": ("scene2", "none", "knowledge", "-1", 1, 1),
+    "I-knowledge-update": ("scene2", "I", "knowledge", "2", 1, 1),
+    "I-action-update": ("scene1", "I", "action", "0.2", 1, 1),
+    "I-action2-update": ("scene4", "I", "action2", "0.3", 5, 10),
+    "I-state-free": ("scene3", "I", "state", "inf", 1, 1),
+    "II-state-update": ("scene3", "II", "state", "1", 5, 10),
+    "II-knowledge-update": ("scene5", "II", "knowledge", "1", 1, 1),
+    "II-action2-update": ("scene6", "II", "action2", "0.5", 5, 10),
+    "II-action-update": ("scene4", "II", "action", "0.1", 1, 1),
 }
 
 GOLDEN_RUNS = {
-    "I-action-keep": (
-        "5875bd65f09f7fb1d7938d880464d6e089e4ff69de21322e3b371edb41b1e72d",
-        "e783d4141d073d3ac26ba211b130d0cc779df36627a79540e11f716b2f9f5413",
+    "I-action-update": (
+        "042de48172a62bb2978863d2fc43e7f2ee59e71e5d8c95e340942d746c89bd1b",
+        "f1b4025f09fe29b21146504ca1c60cb86fad5f05ab8304a785b4b8e33523e042",
     ),
-    "I-action2-clear-fixed": (
-        "cfbd91385712210c36f89c9784570c31ae387e91bdf716dc6c204e411ccbeabd",
-        "d15a33ea1f980287f8bd8e2a414a5cde4799790c58ba2e04842bad96aa86659f",
+    "I-action2-update": (
+        "0cc391b62b4454a2a7c145f1891bfadd6ae522de022cbe237ad604f2a767b193",
+        "e72abf6480f43b0882995fa529a7bd8448f809586a0a6d1bba7f07cef4628818",
     ),
     "I-knowledge-update": (
         "fabe99c80488b5329237f84a3cff4ba1790292e6c5cc088b297dd5233659e0ce",
@@ -58,13 +55,13 @@ GOLDEN_RUNS = {
         "446ce467976b155a0514f4b27128a10a1b89a9b4a9f60a8b0ee61a80c38d6d6d",
         "33c4202c7574e6ec6f28b4dde5aa5d35ad4ce54557eeeb5fe18bba680c09eb58",
     ),
-    "II-action2-keep-signed-fixed": (
-        "ff8fe450de33f9177d285b9be356a77d177a25d4490722f838a8e7f28721930e",
-        "e2fe5fded9e37100de56736fd238d06f6cc1b615d32560bdccd9ddcd969c89fe",
+    "II-action2-update": (
+        "9fb6bf2243a24016238e06db283a08328dd23939cc4058758866331ba10a8f61",
+        "f13ba745ed488bc8c9909782f0abb472175a0e4dc084d08dbdca8025a7298360",
     ),
-    "II-knowledge-clear-signed": (
-        "c0a16fa4e7bd13821d23a0a7f93fa8ab9070a2861ffbb4542ffff740534ec970",
-        "541454aa5fcadfc421344d5af12685e273b90a4d4b5e70bd725a3afc18f5e23b",
+    "II-knowledge-update": (
+        "0ff119d8aa1f2f6239c6beef6bc7e06ba400f73768c8b960421fe2c2b38bebd6",
+        "7d680ae49e29ba695494c9b2e7dd58cc89865be023f7229618970607271b4c5e",
     ),
     "II-state-update": (
         "0ebee668937f336b5ef1567991d6ccd1cdf2ed3aa2ca5355d79fe48aaae9fa66",
@@ -83,9 +80,8 @@ GOLDEN_RUNS = {
 STUDY_ARGS = ["--scene", str(SCENES / "scene6.json"), "--condition", "II",
               "--samples", "3", "--repeats", "2", "--seed", "9",
               "--accumulation", "20", "--evaluation", "20",
-              "--start-min", "1", "--start-max", "60", "--horizon", "100",
-              "--signed-noise"]
-GOLDEN_STUDY = "470f5117022e841b79a51ef15f17f0b574516442c55530cd9587be61cfb367ec"
+              "--start-min", "1", "--start-max", "60", "--horizon", "100"]
+GOLDEN_STUDY = "6c523099df643c667bb39ec34494d35de8a80c7c7509a224cdaa05749a4875ba"
 
 
 def sha256(path: Path) -> str:
@@ -93,12 +89,12 @@ def sha256(path: Path) -> str:
 
 
 def run_case(name: str, tmp_path: Path) -> tuple[str, str]:
-    scene, condition, checker, theta, strategy, q, l, extra = RUNS[name]
+    scene, condition, checker, theta, q, l = RUNS[name]
     trace, summary = tmp_path / f"{name}-trace.csv", tmp_path / f"{name}-summary.csv"
     rc = main(["run", "--scene", str(SCENES / f"{scene}.json"), "--condition", condition,
-               "--checker", checker, f"--theta={theta}", "--strategy", strategy,
+               "--checker", checker, f"--theta={theta}",
                "--q", str(q), "--l", str(l), "--steps", STEPS, "--seed", "11",
-               "--trace", str(trace), "--summary", str(summary), *extra])
+               "--trace", str(trace), "--summary", str(summary)])
     assert rc == 0
     return sha256(trace), sha256(summary)
 

@@ -183,22 +183,6 @@ def test_snapshot_draws_noise_x_then_y_in_object_order():
             assert snap.object_y[j] == min(max(world.object_y[j] + dy, 0.0), 50.0)
 
 
-def test_snapshot_signed_noise_can_go_negative():
-    world = drifted_world()
-    threat = CONDITIONS["II"]
-    offsets = []
-    rng = derive_rng(6)
-    for _ in range(10):
-        snap = sense_snapshot(world, threat, rng, signed_noise=True)
-        for j, count in enumerate(world.coverage):
-            if count == 0:
-                offsets.append(snap.object_x[j] - world.object_x[j])
-                offsets.append(snap.object_y[j] - world.object_y[j])
-    assert offsets
-    assert all(-5.0 - 1e-12 <= off <= 5.0 + 1e-12 for off in offsets)
-    assert min(offsets) < 0.0
-
-
 def test_snapshot_noise_is_deterministic_per_stream():
     world = drifted_world()
     threat = CONDITIONS["II"]
@@ -483,8 +467,6 @@ def test_run_paired_validates_config():
         run_paired(run_config(condition="III"))
     with pytest.raises(ValueError, match="checker"):
         run_paired(run_config(checker="vibes"))
-    with pytest.raises(ValueError, match="strategy"):
-        run_paired(run_config(strategy="merge"))
     with pytest.raises(ValueError, match="steps"):
         run_paired(run_config(steps=0))
     low_k = make_scene(drones=[(0, 1.0, 1.0), (1, 2.0, 2.0)],
@@ -495,8 +477,7 @@ def test_run_paired_validates_config():
 
 @pytest.mark.parametrize("field,value", [
     ("condition", "III"), ("checker", "vibes"), ("theta", math.nan), ("q", 0), ("l", 0),
-    ("steps", 0), ("seed", -1), ("strategy", "merge"),
-    ("bias_mode", "sideways"),
+    ("steps", 0), ("seed", -1),
     # integers only: 1.5 would check at steps 0, 3, 6, ...; the rest fail mid-run
     ("q", 1.5), ("steps", 3.0), ("l", 2.5), ("seed", 1.5), ("q", True), ("steps", False),
     # theta is a number: a string or None would fail inside math.isnan naming
@@ -508,6 +489,18 @@ def test_run_config_names_each_bad_field(field, value):
         TwinRunConfig(scene=SMALL, **{field: value})
     assert isinstance(exc.value, ValueError)
     assert exc.value.field == field
+
+
+@pytest.mark.parametrize("config_type,field,value", [
+    (TwinRunConfig, "strategy", "keep"), (TwinRunConfig, "bias_mode", "fixed"),
+    (TwinRunConfig, "signed_noise", True), (StrategyStudyConfig, "bias_mode", "fixed"),
+    (StrategyStudyConfig, "signed_noise", True),
+])
+def test_configs_refuse_removed_fields(config_type, field, value):
+    # a paired run always takes the snapshot whole, the heading bias always
+    # compounds and estimation noise is always U[0, e]
+    with pytest.raises(TypeError, match=field):
+        config_type(scene=SMALL, **{field: value})
 
 
 def test_run_paired_memory_cost_matches_method():
@@ -588,7 +581,6 @@ def test_study_validates_inputs():
 @pytest.mark.parametrize("field,value", [
     ("condition", "X"), ("samples", 0), ("repeats", 0), ("seed", -2), ("accumulation", -1),
     ("evaluation", 0), ("start_min", -1), ("start_max", 0), ("horizon", 79),
-    ("bias_mode", "sideways"),
     ("samples", 2.0), ("accumulation", 1.5), ("repeats", True), ("start_max", 40.5),
     ("horizon", 100.0),
 ])

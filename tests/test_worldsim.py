@@ -90,28 +90,18 @@ def test_move_object_bias_rotates_displacement():
 
 
 def test_move_object_bias_accumulates_by_default():
-    x, y, direction = move_object(5.0, 5.0, 0.0, 3.0, BOUNDS, accumulate=True)
+    x, y, direction = move_object(5.0, 5.0, 0.0, 3.0, BOUNDS)
     assert direction == pytest.approx(3.0)
     assert move_object(x, y, direction, 3.0, BOUNDS)[2] == pytest.approx(6.0)
 
 
-def test_move_object_fixed_bias_keeps_stored_heading():
-    _, y, direction = move_object(5.0, 5.0, 0.0, 3.0, BOUNDS, accumulate=False)
-    assert direction == 0.0
-    # displacement still uses the biased heading
-    assert y - 5.0 == pytest.approx(0.05233595624294383, abs=1e-15)
-
-
 def test_move_object_rejects_unknown_bias_mode():
-    # the mode is checked once per run, before any object moves
-    from twinsync.harness import StrategyStudyConfig, TwinRunConfig, run_paired, \
-        run_strategy_study
-
-    scene = make_scene([(0, 1.0, 1.0), (1, 2.0, 2.0)], [(0, 5.0, 5.0, 0.0, True)])
-    with pytest.raises(ValueError, match="bias mode"):
-        run_paired(TwinRunConfig(scene=scene, steps=5, bias_mode="wobble"))
-    with pytest.raises(ValueError, match="bias mode"):
-        run_strategy_study(StrategyStudyConfig(scene=scene, bias_mode="wobble"))
+    # the heading bias always compounds: there is no mode left to choose
+    world = make_scene([(0, 1.0, 1.0), (1, 2.0, 2.0)], [(0, 5.0, 5.0, 0.0, True)]).build_world()
+    with pytest.raises(TypeError):
+        move_object(5.0, 5.0, 0.0, 3.0, BOUNDS, accumulate=False)
+    with pytest.raises(TypeError):
+        step_world(world, [0.5, 0.5], [0.5, 0.5], bias_degrees=3.0, bias_mode="fixed")
 
 
 def test_move_object_reflects_off_right_wall():
@@ -141,11 +131,10 @@ def test_move_object_corner_double_reflection():
     st.floats(0.0, 50.0),
     st.floats(-1e4, 1e4),
     st.floats(-10.0, 10.0),
-    st.booleans(),
 )
 @settings(max_examples=200, deadline=None)
-def test_move_object_stays_in_bounds(x, y, direction, bias, accumulate):
-    x, y, direction = move_object(x, y, direction, bias, BOUNDS, accumulate)
+def test_move_object_stays_in_bounds(x, y, direction, bias):
+    x, y, direction = move_object(x, y, direction, bias, BOUNDS)
     assert 0.0 <= x <= 50.0
     assert 0.0 <= y <= 50.0
     assert 0.0 <= direction < 360.0 or direction == pytest.approx(360.0)
@@ -376,12 +365,11 @@ def test_step_world_columns_hold_python_scalars():
     n=st.integers(1, 10),
     k=st.sampled_from([1, 2, 3]),
     bias=st.sampled_from([0.0, 3.0, -7.5]),
-    bias_mode=st.sampled_from(["accumulate", "fixed"]),
     steps=st.integers(50, 200),
     period=st.integers(1, 40),
 )
 @settings(max_examples=40, deadline=None)
-def test_step_world_matches_object_reference(seed, m, n, k, bias, bias_mode, steps, period):
+def test_step_world_matches_object_reference(seed, m, n, k, bias, steps, period):
     # A 30x30 field with range 8 makes co-coverage, notifications and
     # responses common; small periods flip importance often.
     rng = np.random.default_rng(seed)
@@ -398,10 +386,8 @@ def test_step_world_matches_object_reference(seed, m, n, k, bias, bias_mode, ste
     choice, walk = agent_streams(seed, ids, steps=steps)
     streams = reference_agent_streams(seed, ids)
     for t in range(steps):
-        world = step_world(world, choice[t].tolist(), walk[t].tolist(),
-                           bias_degrees=bias, bias_mode=bias_mode)
-        ref, ref_actions = reference_step(ref, streams, bias_degrees=bias,
-                                          bias_mode=bias_mode)
+        world = step_world(world, choice[t].tolist(), walk[t].tolist(), bias_degrees=bias)
+        ref, ref_actions = reference_step(ref, streams, bias_degrees=bias)
         assert world.time == ref.time
         assert world.object_ids == tuple(o.id for o in ref.objects)
         assert world.object_x == tuple(o.position.x for o in ref.objects)
