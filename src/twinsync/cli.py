@@ -144,33 +144,25 @@ def _join_dash_values(argv: list[str]) -> list[str]:
     return out
 
 
-# The scene's world parameters as flags: (flag, SceneSpec field, type, help).
+# The scene's world parameters as gen-scene flags:
+# (flag, SceneSpec field, type, default, help).
 _SCENE_FLAGS = (
-    ("--k", "k", int, "coverage requirement"),
-    ("--range", "sensing_range", float, "sensing radius"),
-    ("--gamma", "gamma", float, "edge evaporation factor"),
-    ("--delta", "delta", float, "edge reinforcement"),
-    ("--importance-period", "importance_period", int, "steps between importance flips"),
+    ("--k", "k", int, 2, "coverage requirement"),
+    ("--range", "sensing_range", float, 10.0, "sensing radius"),
+    ("--gamma", "gamma", float, 0.9, "edge evaporation factor"),
+    ("--delta", "delta", float, 1.0, "edge reinforcement"),
+    ("--importance-period", "importance_period", int, 30, "steps between importance flips"),
 )
 
 
-def _add_scene_flags(p: argparse.ArgumentParser, defaults: dict | None) -> None:
-    """Declare the scene parameter flags with gen-scene's defaults, or with
-    None (keep the scene file's value) when they override a loaded scene."""
-    if defaults is None:
-        p = p.add_argument_group("scene parameter overrides (default: scene file values)")
-        defaults, shown = {}, ""
-    else:
-        shown = " (default: %(default)s)"
-    for flag, field, kind, help_text in _SCENE_FLAGS:
-        p.add_argument(flag, dest=field, type=kind, default=defaults.get(field),
-                       help=help_text + shown)
+def _add_scene_flags(p: argparse.ArgumentParser) -> None:
+    for flag, field, kind, default, help_text in _SCENE_FLAGS:
+        p.add_argument(flag, dest=field, type=kind, default=default,
+                       help=help_text + " (default: %(default)s)")
 
 
 def _scene_flag_values(args) -> dict:
-    """The scene parameter flags that hold a value; None keeps the scene's."""
-    values = {field: getattr(args, field) for _, field, _, _ in _SCENE_FLAGS}
-    return {field: value for field, value in values.items() if value is not None}
+    return {field: getattr(args, field) for _, field, *_ in _SCENE_FLAGS}
 
 
 def _flag(field: str) -> str:
@@ -188,7 +180,7 @@ def _config_flags(p: argparse.ArgumentParser, config_type, specs: dict) -> None:
 _RUN_FLAGS = {
     "condition": ("threat condition", {"choices": sorted(CONDITIONS)}),
     "q": ("checking interval", {"type": int}),
-    "l": ("window length", {"type": int}),
+    "l": ("window: a check at t sums the l + 1 steps t - l to t", {"type": int}),
     "steps": ("simulation steps", {"type": int}),
     "seed": ("physical-side seed; a divergent twin's choices use seed + 1", {"type": int}),
 }
@@ -209,7 +201,6 @@ _STUDY_FLAGS = {
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scene", required=True, help="scene JSON file")
     _config_flags(p, TwinRunConfig, _RUN_FLAGS)
-    _add_scene_flags(p, None)
 
 
 @contextmanager
@@ -232,8 +223,19 @@ def _load_scene_for(args) -> tuple[SceneSpec, str]:
         raise UsageError(f"cannot read scene file: {exc}") from exc
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    # the config built from it checks the overridden scene
-    return replace(scene, **_scene_flag_values(args)), path.stem
+    return scene, path.stem
+
+
+def _check_paths(args) -> None:
+    """Each output goes into an existing directory, and to no input or other output."""
+    taken = {Path(getattr(args, field)).resolve(): field for field in args.inputs}
+    for field in args.outputs:
+        path = Path(getattr(args, field)).resolve()
+        if not path.parent.is_dir():
+            raise UsageError(f"{_flag(field)} {getattr(args, field)}: no such directory")
+        if path in taken:
+            raise UsageError(f"{_flag(field)} is the same file as {_flag(taken[path])}")
+        taken[path] = field
 
 
 def _pool_size(jobs: int, n_work: int) -> int:
@@ -334,6 +336,10 @@ def _cmd_sweep(args) -> int:
         raise UsageError(f"--thetas must list numbers: {exc}") from exc
     if not checkers or not thetas:
         raise UsageError("need at least one checker and one theta")
+    for flag, values in (("--checkers", checkers), ("--thetas", thetas)):
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise UsageError(f"{flag} lists {value!r} twice")
     if args.repeats < 1:
         raise UsageError(f"--repeats must be >= 1, got {args.repeats}")
     if args.jobs < 1:
@@ -486,10 +492,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width", type=float, default=50.0, help="arena width" + shown)
     p.add_argument("--height", type=float, default=50.0, help="arena height" + shown)
     p.add_argument("--seed", type=int, default=0, help="placement seed" + shown)
-    _add_scene_flags(p, {"k": 2, "sensing_range": 10.0, "gamma": 0.9, "delta": 1.0,
-                         "importance_period": 30})
+    _add_scene_flags(p)
     p.add_argument("--out", required=True, help="output scene JSON path")
-    p.set_defaults(func=_cmd_gen_scene)
+    p.set_defaults(func=_cmd_gen_scene, inputs=(), outputs=("out",))
 
     p = sub.add_parser("run", help="one paired run; writes trace and summary CSVs")
     _add_run_flags(p)
@@ -500,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     })
     p.add_argument("--trace", default="trace.csv", help="trace CSV path" + shown)
     p.add_argument("--summary", default="summary.csv", help="summary CSV path" + shown)
-    p.set_defaults(func=_cmd_run)
+    p.set_defaults(func=_cmd_run, inputs=("scene",), outputs=("trace", "summary"))
 
     p = sub.add_parser("sweep", help="threshold sweep; one summary row per (checker, theta, repeat)")
     _add_run_flags(p)
@@ -512,14 +517,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
                    help="worker processes, at most one per run and core" + shown)
     p.add_argument("--out", default="solutions.csv", help="solutions CSV path" + shown)
-    p.set_defaults(func=_cmd_sweep)
+    p.set_defaults(func=_cmd_sweep, inputs=("scene",), outputs=("out",))
 
     p = sub.add_parser("strategy-study", help="compare update strategies on sampled drift episodes")
     p.add_argument("--scene", required=True, help="scene JSON file")
     _config_flags(p, StrategyStudyConfig, _STUDY_FLAGS)
-    _add_scene_flags(p, None)
     p.add_argument("--out", default="study.csv", help="study CSV path" + shown)
-    p.set_defaults(func=_cmd_strategy_study)
+    p.set_defaults(func=_cmd_strategy_study, inputs=("scene",), outputs=("out",))
 
     p = sub.add_parser("pareto", help="normalize solutions, mark the front, report hypervolume")
     p.add_argument("--input", required=True, help="solutions CSV from sweep")
@@ -528,7 +532,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-updates", type=float, default=1000.0,
                    help="update-count normalizer" + shown)
     p.add_argument("--out", default="pareto.csv", help="Pareto CSV path" + shown)
-    p.set_defaults(func=_cmd_pareto)
+    # --scene is a row filter here, not a file
+    p.set_defaults(func=_cmd_pareto, inputs=("input",), outputs=("out",))
 
     return parser
 
@@ -537,6 +542,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_join_dash_values(sys.argv[1:] if argv is None else list(argv)))
     try:
+        _check_paths(args)
         return args.func(args)
     except UsageError as exc:
         print(f"twinsync: error: {exc}", file=sys.stderr)

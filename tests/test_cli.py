@@ -4,6 +4,8 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import shutil
 from pathlib import Path
 
 import pytest
@@ -21,10 +23,10 @@ def read_rows(path):
         return list(csv.reader(fh))
 
 
-def gen_scene(tmp_path, name="tiny.json", drones=3, objects=4, seed=7):
+def gen_scene(tmp_path, name="tiny.json", drones=3, objects=4, seed=7, flags=()):
     out = tmp_path / name
     rc = main(["gen-scene", "--drones", str(drones), "--objects", str(objects),
-               "--seed", str(seed), "--out", str(out)])
+               "--seed", str(seed), *flags, "--out", str(out)])
     assert rc == 0
     return out
 
@@ -76,6 +78,13 @@ def test_bundled_scenes_regenerate_byte_identical(tmp_path):
         assert regen.read_bytes() == (SCENES / name).read_bytes(), name
 
 
+def test_scene_flags_override_only_the_parameters_given(tmp_path):
+    # scene1's recipe plus two parameter flags writes scene1 with only those changed
+    out = gen_scene(tmp_path, "scene1-k3.json", 5, 10, 101, flags=["--k", "3", "--range", "7.0"])
+    scene = load_scene(SCENES / "scene1.json")
+    assert load_scene(out) == dataclasses.replace(scene, k=3, sensing_range=7.0)
+
+
 # ------------------------------------------------------------
 # run
 # ------------------------------------------------------------
@@ -119,23 +128,6 @@ def test_run_trace_rows_are_the_run_columns(tmp_path):
     assert all(0.0 <= u <= 1.0 for u in trace.u_physical + trace.u_twin)
 
 
-def test_scene_flags_override_only_the_parameters_given(tmp_path, monkeypatch):
-    scene_file = SCENES / "scene1.json"
-    configs = []
-
-    def recording(config):
-        configs.append(config)
-        return run_paired(config)
-
-    monkeypatch.setattr(cli, "run_paired", recording)
-    for extra in ([], ["--k", "3", "--range", "7.0"]):
-        rc, _, _ = run_cmd(tmp_path, scene_file, *extra)
-        assert rc == 0
-    scene = load_scene(scene_file)
-    assert configs[0].scene == scene
-    assert configs[1].scene == dataclasses.replace(scene, k=3, sensing_range=7.0)
-
-
 def test_run_trace_is_byte_identical_across_invocations(tmp_path):
     scene = gen_scene(tmp_path)
     _, trace_a, _ = run_cmd(tmp_path, scene, "--condition", "I",
@@ -156,8 +148,8 @@ def test_run_identity_trace_shows_zero_deviation(tmp_path):
 
 
 def test_run_rejects_action2_when_k_is_1(tmp_path, capsys):
-    scene = gen_scene(tmp_path)
-    rc, _, _ = run_cmd(tmp_path, scene, "--checker", "action2", "--k", "1")
+    scene = gen_scene(tmp_path, "k1.json", flags=["--k", "1"])
+    rc, _, _ = run_cmd(tmp_path, scene, "--checker", "action2")
     assert rc == 1
     assert "action2" in capsys.readouterr().err
 
@@ -183,9 +175,11 @@ def test_run_unknown_checker_exits_1(tmp_path):
 
 
 def test_run_unwritable_output_is_a_runtime_error(tmp_path, capsys):
+    # an existing directory passes the path check, and the write then fails
     scene = gen_scene(tmp_path)
+    (tmp_path / "taken").mkdir()
     rc = main(["run", "--scene", str(scene), "--steps", "5",
-               "--trace", str(tmp_path / "missing" / "trace.csv")])
+               "--trace", str(tmp_path / "taken"), "--summary", str(tmp_path / "s.csv")])
     assert rc == 2
     assert "runtime error" in capsys.readouterr().err
 
@@ -327,14 +321,16 @@ def test_sweep_rejects_unknown_checker(tmp_path, capsys):
 
 @pytest.mark.parametrize("extra,named", [
     (["--checkers", "state,bogus"], "--checkers 'bogus' is not a known checker"),
-    (["--checkers", "state,action2", "--k", "1"], "--checkers action2 needs k >= 2"),
+    (["--checkers", "state,action2"], "--checkers action2 needs k >= 2"),
     (["--thetas", "0,nan"], "--thetas must not be NaN"),
     (["--jobs", "0"], "--jobs must be >= 1"),
+    (["--checkers", "knowledge,knowledge"], "--checkers lists 'knowledge' twice"),
+    (["--thetas", "0,0.0,inf"], "--thetas lists 0.0 twice"),
 ])
 def test_sweep_with_a_bad_setting_starts_no_run(tmp_path, monkeypatch, capsys, extra, named):
     runs = []
     monkeypatch.setattr(cli, "run_paired", lambda config: runs.append(config))
-    scene = gen_scene(tmp_path)
+    scene = gen_scene(tmp_path, "k1.json", flags=["--k", "1"])  # k = 1 refuses action2
     argv = ["sweep", "--scene", str(scene), "--checkers", "state", "--thetas", "0,inf",
             "--steps", "5", "--jobs", "1", "--out", str(tmp_path / "x.csv")]
     rc = main(argv + extra)
@@ -392,7 +388,8 @@ def test_flag_defaults_are_the_config_defaults(command, config_type):
 @pytest.mark.parametrize("command,shown", [
     ("gen-scene", ["arena width (default: 50.0)", "coverage requirement (default: 2)"]),
     ("run", ["simulation steps (default: 1000)", "equivalence checker (default: state)",
-             "(default: inf)", "window length (default: 1)"]),
+             "(default: inf)",
+             "window: a check at t sums the l + 1 steps t - l to t (default: 1)"]),
     ("sweep", ["checking interval (default: 1)",
                "checker list (default: state,knowledge,action,action2)"]),
     ("strategy-study", ["threat condition (default: I)",
@@ -652,12 +649,19 @@ def test_gen_scene_names_every_bad_parameter(tmp_path, capsys):
     ("run", ["--signed-noise"]), ("sweep", ["--strategy", "clear"]),
     ("sweep", ["--bias-mode", "fixed"]), ("sweep", ["--signed-noise"]),
     ("strategy-study", ["--bias-mode", "fixed"]), ("strategy-study", ["--signed-noise"]),
+    # a scene parameter comes from the scene file; gen-scene writes a new one
+    *[(command, [flag, value]) for command in ("run", "sweep", "strategy-study")
+      for flag, value in (("--k", "3"), ("--range", "7.0"), ("--gamma", "0.5"),
+                          ("--delta", "2.0"), ("--importance-period", "10"))],
 ])
 def test_removed_flags_are_usage_errors(tmp_path, monkeypatch, capsys, command, flags):
     monkeypatch.chdir(tmp_path)  # the default output paths land here
-    extra = ["--thetas", "0", "--jobs", "1"] if command == "sweep" else []
+    small = {"run": ["--steps", "5"],
+             "sweep": ["--thetas", "0", "--jobs", "1", "--steps", "5"],
+             "strategy-study": ["--samples", "1", "--repeats", "1", "--accumulation", "2",
+                                "--evaluation", "2", "--start-max", "5", "--horizon", "20"]}
     with pytest.raises(SystemExit) as exc:
-        main([command, "--scene", str(SCENES / "scene1.json"), *flags, *extra])
+        main([command, "--scene", str(SCENES / "scene1.json"), *flags, *small[command]])
     assert exc.value.code == 1
     assert f"unrecognized arguments: {flags[0]}" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
@@ -679,23 +683,6 @@ def test_a_one_drone_scene_exits_1_before_any_step(tmp_path, monkeypatch, capsys
     assert not any(tmp_path.glob("*.csv"))
 
 
-@pytest.mark.parametrize("command", ["run", "sweep", "strategy-study"])
-@pytest.mark.parametrize("flag,value,violation", [
-    ("--gamma", "1.5", "gamma must lie in (0, 1), got 1.5"),
-    ("--importance-period", "0", "importance_period must be >= 1, got 0"),
-])
-def test_a_bad_scene_override_exits_1_before_any_step(tmp_path, monkeypatch, capsys,
-                                                      command, flag, value, violation):
-    monkeypatch.chdir(tmp_path)  # the default output paths land here
-    monkeypatch.setattr(cli, "run_paired", lambda config: pytest.fail("a run started"))
-    monkeypatch.setattr(cli, "run_strategy_study", lambda config: pytest.fail("a study started"))
-    extra = ["--thetas", "0", "--jobs", "1"] if command == "sweep" else []
-    rc = main([command, "--scene", str(SCENES / "scene1.json"), flag, value, *extra])
-    assert rc == 1
-    assert violation in capsys.readouterr().err
-    assert not any(tmp_path.glob("*.csv"))
-
-
 def test_run_rejects_mistyped_scene_field(tmp_path, capsys):
     data = json.loads((SCENES / "scene1.json").read_text())
     data["objects"][0]["important"] = "false"
@@ -705,3 +692,45 @@ def test_run_rejects_mistyped_scene_field(tmp_path, capsys):
                "--trace", str(tmp_path / "t.csv"), "--summary", str(tmp_path / "s.csv")])
     assert rc == 1
     assert "objects[0].important must be true or false" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["gen-scene", "--drones", "3", "--objects", "4", "--out", "missing/x.json"],
+     "--out missing/x.json: no such directory"),
+    (["run", "--scene", "scene.json", "--trace", "missing/t.csv"],
+     "--trace missing/t.csv: no such directory"),
+    (["run", "--scene", "scene.json", "--summary", "missing/s.csv"],
+     "--summary missing/s.csv: no such directory"),
+    (["sweep", "--scene", "scene.json", "--thetas", "0", "--jobs", "1", "--out", "missing/x.csv"],
+     "--out missing/x.csv: no such directory"),
+    (["strategy-study", "--scene", "scene.json", "--out", "missing/x.csv"],
+     "--out missing/x.csv: no such directory"),
+    (["pareto", "--input", "sol.csv", "--out", "missing/x.csv"],
+     "--out missing/x.csv: no such directory"),
+    (["run", "--scene", "scene.json", "--trace", "scene.json"],
+     "--trace is the same file as --scene"),
+    (["run", "--scene", "scene.json", "--summary", "./scene.json"],
+     "--summary is the same file as --scene"),
+    (["run", "--scene", "scene.json", "--trace", "x.csv", "--summary", "x.csv"],
+     "--summary is the same file as --trace"),
+    (["run", "--scene", "scene.json", "--trace", "summary.csv"],  # --summary's default
+     "--summary is the same file as --trace"),
+    (["sweep", "--scene", "scene.json", "--thetas", "0", "--jobs", "1", "--out", "link.json"],
+     "--out is the same file as --scene"),  # link.json is a symlink to scene.json
+    (["strategy-study", "--scene", "scene.json", "--out", "scene.json"],
+     "--out is the same file as --scene"),
+    (["pareto", "--input", "sol.csv", "--out", "sol.csv"], "--out is the same file as --input"),
+])
+def test_a_bad_output_path_exits_1_before_any_work(tmp_path, monkeypatch, capsys, argv, named):
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(SCENES / "scene1.json", "scene.json")
+    os.symlink("scene.json", "link.json")
+    write_solutions(tmp_path / "sol.csv", ["sA,I,state,0,1,1,100,0,50,0.1,10.0",
+                                           "sA,I,state,inf,1,1,100,0,0,0.2,10.0"])
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    monkeypatch.setattr(cli, "run_paired", lambda config: pytest.fail("a run started"))
+    monkeypatch.setattr(cli, "run_strategy_study", lambda config: pytest.fail("a study started"))
+    rc = main(argv)
+    assert rc == 1
+    assert named in capsys.readouterr().err
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
