@@ -99,9 +99,9 @@ def evolve_knowledge(
     Delta is added once per shared-object count level, so every edge sees
     w*gamma + delta + delta ... in the order a per-object loop adds it
     (w*gamma + 2*delta can differ in the last bit). The result is symmetric
-    with a zero diagonal by construction, and weights stay below
-    delta * n_objects / (1 - gamma) because each step adds at most delta per
-    shared object after multiplying by gamma.
+    with a zero diagonal by construction. In real numbers weights stay under
+    delta * n_objects / (1 - gamma); float64 rounding can reach or pass that
+    bound by a few ulps.
     """
     hits = in_range.astype(np.int64)
     shared = hits @ hits.T

@@ -57,22 +57,24 @@ def pareto_front(points: Iterable[SolutionPoint]) -> list[SolutionPoint]:
     return front
 
 
-def hypervolume2d(
-    points: Iterable[SolutionPoint], ref: tuple[float, float] = (1.0, 1.0)
-) -> float:
+# The reference corner: normalized deviation and update count both at 1.
+_REF = (1.0, 1.0)
+
+
+def hypervolume2d(points: Iterable[SolutionPoint]) -> float:
     """Area dominated between the points and the reference corner.
 
     Points beyond the reference on either axis cannot contribute and are
     dropped with a warning. Computed as the sum of vertical strips between
     consecutive front points.
     """
-    ref_dev, ref_upd = ref
+    ref_dev, ref_upd = _REF
     points = list(points)
     inside = [p for p in points if p.dev <= ref_dev and p.upd <= ref_upd]
     dropped = len(points) - len(inside)
     if dropped:
         warnings.warn(
-            f"{dropped} point(s) beyond the reference {ref} contribute no hypervolume",
+            f"{dropped} point(s) beyond the reference {_REF} contribute no hypervolume",
             stacklevel=2,
         )
     front = pareto_front(inside)

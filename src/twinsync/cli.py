@@ -15,6 +15,7 @@ Every subcommand is deterministic given its seed flags. Exit codes: 0 ok,
 from __future__ import annotations
 
 import argparse
+import concurrent.futures  # loads ProcessPoolExecutor's modules only when a sweep pools
 import csv
 import math
 import os
@@ -22,7 +23,6 @@ import statistics
 import sys
 from contextlib import contextmanager
 from dataclasses import fields, replace
-from multiprocessing import Pool
 from pathlib import Path
 
 from .analysis import (
@@ -46,6 +46,8 @@ from .harness import (
     run_strategy_study,
 )
 from .model import (
+    NUMBER,
+    SCENE_PARAMETERS,
     SceneDrone,
     SceneObject,
     SceneSpec,
@@ -68,27 +70,14 @@ class UsageError(Exception):
 # ============================================================
 
 
-def generate_scene(
-    n_drones: int,
-    n_objects: int,
-    width: float,
-    height: float,
-    seed: int,
-    k: int,
-    sensing_range: float,
-    gamma: float,
-    delta: float,
-    importance_period: int,
-) -> SceneSpec:
-    """Place drones and objects uniformly at random; deterministic per seed.
+def generate_scene(params: SceneSpec, n_drones: int, n_objects: int, seed: int) -> SceneSpec:
+    """`params` with drones and objects placed uniformly at random; deterministic per seed.
 
     Object headings are drawn from the four axis directions and importance
     is a fair coin. Draw order (drones first, then objects, coordinates
     before attributes) is part of the determinism contract. Parameters are
     checked before anything is drawn, and every bad one is named.
     """
-    params = SceneSpec(width, height, k, sensing_range, gamma, delta,
-                       importance_period, drones=(), objects=())
     bad = parameter_violations(params)
     if n_drones < 2:  # knowledge is an edge between two drones
         bad.append(f"drones must be >= 2, got {n_drones}")
@@ -98,6 +87,7 @@ def generate_scene(
         bad.append(f"seed must be >= 0, got {seed}")
     if bad:
         raise ValueError("; ".join(bad))
+    width, height = params.bounds
     rng = derive_rng(seed, STREAM_SCENE)
     drones = tuple(
         SceneDrone(i, float(rng.uniform(0.0, width)), float(rng.uniform(0.0, height)))
@@ -144,25 +134,16 @@ def _join_dash_values(argv: list[str]) -> list[str]:
     return out
 
 
-# The scene's world parameters as gen-scene flags:
-# (flag, SceneSpec field, type, default, help).
-_SCENE_FLAGS = (
-    ("--k", "k", int, 2, "coverage requirement"),
-    ("--range", "sensing_range", float, 10.0, "sensing radius"),
-    ("--gamma", "gamma", float, 0.9, "edge evaporation factor"),
-    ("--delta", "delta", float, 1.0, "edge reinforcement"),
-    ("--importance-period", "importance_period", int, 30, "steps between importance flips"),
-)
-
-
-def _add_scene_flags(p: argparse.ArgumentParser) -> None:
-    for flag, field, kind, default, help_text in _SCENE_FLAGS:
-        p.add_argument(flag, dest=field, type=kind, default=default,
-                       help=help_text + " (default: %(default)s)")
-
-
-def _scene_flag_values(args) -> dict:
-    return {field: getattr(args, field) for _, field, *_ in _SCENE_FLAGS}
+# gen-scene's (default, help) per world parameter, by SceneSpec field.
+_SCENE_DEFAULTS = {
+    "width": (50.0, "arena width"),
+    "height": (50.0, "arena height"),
+    "k": (2, "coverage requirement"),
+    "sensing_range": (10.0, "sensing radius"),
+    "gamma": (0.9, "edge evaporation factor"),
+    "delta": (1.0, "edge reinforcement"),
+    "importance_period": (30, "steps between importance flips"),
+}
 
 
 def _flag(field: str) -> str:
@@ -290,10 +271,9 @@ def summary_row(config: TwinRunConfig, trace: Trace, repeat: int) -> tuple:
 
 
 def _cmd_gen_scene(args) -> int:
+    params = SceneSpec(**{f: getattr(args, f) for f in _SCENE_DEFAULTS}, drones=(), objects=())
     try:
-        scene = generate_scene(args.drones, args.objects, width=args.width,
-                               height=args.height, seed=args.seed,
-                               **_scene_flag_values(args))
+        scene = generate_scene(params, args.drones, args.objects, args.seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     save_scene(scene, args.out)
@@ -356,10 +336,10 @@ def _cmd_sweep(args) -> int:
         ]
     processes = _pool_size(args.jobs, len(work))
     if processes > 1:
-        with Pool(processes=processes) as pool:
-            # map preserves submission order; one run per chunk keeps every
-            # worker busy until the last run is handed out
-            rows = pool.map(_sweep_worker, work, chunksize=1)
+        # map keeps submission order and hands out one run at a time; a dead
+        # worker raises BrokenProcessPool rather than hanging
+        with concurrent.futures.ProcessPoolExecutor(max_workers=processes) as pool:
+            rows = list(pool.map(_sweep_worker, work))
     else:
         rows = [_sweep_worker(item) for item in work]
     _write_csv(args.out, SUMMARY_HEADER, rows)
@@ -489,10 +469,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-scene", help="generate a random scene file")
     p.add_argument("--drones", type=int, required=True)
     p.add_argument("--objects", type=int, required=True)
-    p.add_argument("--width", type=float, default=50.0, help="arena width" + shown)
-    p.add_argument("--height", type=float, default=50.0, help="arena height" + shown)
     p.add_argument("--seed", type=int, default=0, help="placement seed" + shown)
-    _add_scene_flags(p)
+    for key, field, kind, _ in SCENE_PARAMETERS:
+        default, help_text = _SCENE_DEFAULTS[field]
+        p.add_argument(_flag(key), dest=field, type=float if kind == NUMBER else int,
+                       default=default, help=help_text + shown)
     p.add_argument("--out", required=True, help="output scene JSON path")
     p.set_defaults(func=_cmd_gen_scene, inputs=(), outputs=("out",))
 

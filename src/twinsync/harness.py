@@ -9,7 +9,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .analysis import avg_utility_deviation, comparison_memory_cost, left_sum
+from .analysis import avg_utility_deviation, comparison_memory_cost
 from .equivalence import CHECKERS, windowed_check
 from .model import SceneSpec, WorldState, read_only, validate_scene
 from .agent import build_perceptions
@@ -71,14 +71,13 @@ class ThreatConfig:
 
     bias_degrees: float = 0.0  # leftward per-step rotation of object headings (physical only)
     divergent_seeds: bool = False  # twin agents pick objects from a different seed
-    sensor_limited: bool = False  # uncovered objects are position-estimated in snapshots
-    estimation_error_max: float = 0.0
+    estimation_error_max: float = 0.0  # > 0: snapshots estimate uncovered objects' positions
 
 
 CONDITIONS: dict[str, ThreatConfig] = {
     "none": ThreatConfig(),
     "I": ThreatConfig(bias_degrees=3.0, divergent_seeds=True),
-    "II": ThreatConfig(bias_degrees=3.0, sensor_limited=True, estimation_error_max=5.0),
+    "II": ThreatConfig(bias_degrees=3.0, estimation_error_max=5.0),
 }
 
 
@@ -95,12 +94,12 @@ def sense_snapshot(
     """The world the physical side reports when the twin asks for a resync.
 
     Everything is reported exactly, so the snapshot is the physical world
-    itself, unless a sensor-limited threat has objects nobody covers. Those
-    get their position estimated with per-coordinate U[0, e] noise, drawn
-    x then y in object order and clamped into bounds; the snapshot is then
-    the physical world with the reported positions, sensed once there.
+    itself, unless e = threat.estimation_error_max > 0 and some object is
+    uncovered. Uncovered objects get per-coordinate U[0, e] position noise,
+    drawn x then y in object order and clamped into bounds; the snapshot is
+    then the physical world with the reported positions, sensed once there.
     """
-    if not threat.sensor_limited or all(physical.coverage):
+    if threat.estimation_error_max == 0 or all(physical.coverage):
         return physical
     e = threat.estimation_error_max
     bounds = physical.params.bounds
@@ -401,10 +400,11 @@ def run_strategy_study(config: StrategyStudyConfig) -> StrategyStudyResult:
             snapshot = sense_snapshot(worlds[update_at], threat, noise_rng)
             for strategy in STRATEGIES:
                 branch = apply_update(twin, snapshot, strategy)
-                gaps = []
-                for step, (c, w) in enumerate(draws[config.accumulation:], start=1):
+                u_branch = []
+                for c, w in draws[config.accumulation:]:
                     branch = step_world(branch, c, w)
-                    gaps.append(abs(u_phys[update_at + step] - utility_k(branch)))
-                deviations[strategy].append(left_sum(gaps) / len(gaps))
+                    u_branch.append(utility_k(branch))
+                deviations[strategy].append(avg_utility_deviation(
+                    u_phys[update_at + 1:update_at + 1 + config.evaluation], u_branch))
 
     return StrategyStudyResult(start_times, deviations)

@@ -156,28 +156,36 @@ class SceneSpec:
 
 # JSON types a scene field may hold, by the name error messages give them.
 # bool is not a number here, and a float is not an integer.
-_NUMBER, _INTEGER, _BOOL = "a number", "an integer", "true or false"
+NUMBER, INTEGER, BOOL = "a number", "an integer", "true or false"
 _JSON_TYPES = {
-    _NUMBER: (int, float),
-    _INTEGER: (int,),
-    _BOOL: (bool,),
+    NUMBER: (int, float),
+    INTEGER: (int,),
+    BOOL: (bool,),
     "a list": (list,),
     "an object": (dict,),
 }
 
+_POSITIVE = ("must be positive and finite", lambda v: v > 0 and math.isfinite(v))
+_AT_LEAST_1 = ("must be >= 1", lambda v: v >= 1)
+_UNIT_OPEN = ("must lie in (0, 1)", lambda v: 0.0 < v < 1.0)
+# The world parameters in file order: (JSON key, SceneSpec field, JSON type,
+# rule as (message, test)). Scene I/O, parameter checks and gen-scene read it.
+SCENE_PARAMETERS = (
+    ("width", "width", NUMBER, _POSITIVE),
+    ("height", "height", NUMBER, _POSITIVE),
+    ("k", "k", INTEGER, _AT_LEAST_1),
+    ("range", "sensing_range", NUMBER, _POSITIVE),
+    ("gamma", "gamma", NUMBER, _UNIT_OPEN),
+    ("delta", "delta", NUMBER, _POSITIVE),
+    ("importance_period", "importance_period", INTEGER, _AT_LEAST_1),
+)
+
 # The scene file, in key order: (JSON key, SceneSpec field, JSON type). An
 # entity list's type is its entry's NamedTuple, whose fields are the entry's
 # keys, with one JSON type per field.
-_SCENE_FIELDS = (
-    ("width", "width", _NUMBER),
-    ("height", "height", _NUMBER),
-    ("k", "k", _INTEGER),
-    ("range", "sensing_range", _NUMBER),
-    ("gamma", "gamma", _NUMBER),
-    ("delta", "delta", _NUMBER),
-    ("importance_period", "importance_period", _INTEGER),
-    ("drones", "drones", (SceneDrone, (_INTEGER, _NUMBER, _NUMBER))),
-    ("objects", "objects", (SceneObject, (_INTEGER, _NUMBER, _NUMBER, _NUMBER, _BOOL))),
+_SCENE_FIELDS = tuple(row[:3] for row in SCENE_PARAMETERS) + (
+    ("drones", "drones", (SceneDrone, (INTEGER, NUMBER, NUMBER))),
+    ("objects", "objects", (SceneObject, (INTEGER, NUMBER, NUMBER, NUMBER, BOOL))),
 )
 
 
@@ -192,7 +200,7 @@ def scene_to_dict(scene: SceneSpec) -> dict:
 def _checked(value, path: str, kind: str):
     if type(value) not in _JSON_TYPES[kind]:
         raise ValueError(f"malformed scene data: {path} must be {kind}, got {value!r}")
-    return float(value) if kind == _NUMBER else value
+    return float(value) if kind == NUMBER else value
 
 
 def _decoded(obj: dict, prefix: str, fields) -> list:
@@ -234,23 +242,10 @@ def scene_from_dict(data: dict) -> SceneSpec:
 
 
 def parameter_violations(scene: SceneSpec) -> list[str]:
-    """Violations among the world parameters alone, each naming its field."""
-    bad: list[str] = []
-    if not (scene.width > 0 and math.isfinite(scene.width)):
-        bad.append(f"width must be positive and finite, got {scene.width}")
-    if not (scene.height > 0 and math.isfinite(scene.height)):
-        bad.append(f"height must be positive and finite, got {scene.height}")
-    if scene.k < 1:
-        bad.append(f"k must be >= 1, got {scene.k}")
-    if not (scene.sensing_range > 0 and math.isfinite(scene.sensing_range)):
-        bad.append(f"range must be positive and finite, got {scene.sensing_range}")
-    if not (0.0 < scene.gamma < 1.0):
-        bad.append(f"gamma must lie in (0, 1), got {scene.gamma}")
-    if not (scene.delta > 0 and math.isfinite(scene.delta)):
-        bad.append(f"delta must be positive and finite, got {scene.delta}")
-    if scene.importance_period < 1:
-        bad.append(f"importance_period must be >= 1, got {scene.importance_period}")
-    return bad
+    """Violations among the world parameters alone, each naming its JSON key."""
+    return [f"{key} {message}, got {getattr(scene, field)}"
+            for key, field, _, (message, holds) in SCENE_PARAMETERS
+            if not holds(getattr(scene, field))]
 
 
 def validate_scene(scene: SceneSpec) -> list[str]:

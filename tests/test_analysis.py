@@ -139,10 +139,6 @@ def test_hypervolume_warns_and_drops_points_beyond_reference():
     assert hv == pytest.approx(hypervolume2d(inside))
 
 
-def test_hypervolume_custom_reference():
-    assert hypervolume2d([SolutionPoint(1.0, 1.0)], ref=(2.0, 2.0)) == pytest.approx(1.0)
-
-
 def test_hypervolume_matches_grid_oracle_on_random_fronts():
     for pts in random_fronts(seed=23, count=50):
         assert hypervolume2d(pts) == pytest.approx(grid_hypervolume(pts), abs=1e-3)

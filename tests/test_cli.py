@@ -6,6 +6,8 @@ import json
 import math
 import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -78,11 +80,35 @@ def test_bundled_scenes_regenerate_byte_identical(tmp_path):
         assert regen.read_bytes() == (SCENES / name).read_bytes(), name
 
 
+# One value per gen-scene parameter flag, none of them the default: (JSON key, value).
+SCENE_FLAG_VALUES = {
+    "--width": ("width", 60.0),
+    "--height": ("height", 40.0),
+    "--k": ("k", 3),
+    "--range": ("range", 7.0),
+    "--gamma": ("gamma", 0.5),
+    "--delta": ("delta", 2.0),
+    "--importance-period": ("importance_period", 10),
+}
+
+
 def test_scene_flags_override_only_the_parameters_given(tmp_path):
     # scene1's recipe plus two parameter flags writes scene1 with only those changed
     out = gen_scene(tmp_path, "scene1-k3.json", 5, 10, 101, flags=["--k", "3", "--range", "7.0"])
     scene = load_scene(SCENES / "scene1.json")
     assert load_scene(out) == dataclasses.replace(scene, k=3, sensing_range=7.0)
+    # each flag alone writes exactly its value, with its JSON type; only the
+    # arena size also moves the placements
+    scene1 = json.loads((SCENES / "scene1.json").read_text())
+    for flag, (key, value) in SCENE_FLAG_VALUES.items():
+        out = gen_scene(tmp_path, f"{key}.json", 5, 10, 101, flags=[flag, str(value)])
+        data, expected = json.loads(out.read_text()), scene1 | {key: value}
+        assert type(data[key]) is type(value), flag
+        if key in ("width", "height"):
+            for name in ("drones", "objects"):
+                del data[name], expected[name]
+        assert data == expected, flag
+        load_scene(out)
 
 
 # ------------------------------------------------------------
@@ -287,9 +313,9 @@ def test_sweep_pool_size_is_capped_by_runs_and_cores(monkeypatch):
 def test_sweep_starts_no_more_workers_than_runs_or_cores(tmp_path, monkeypatch):
     started = []
 
-    class SerialPool:  # stands in for multiprocessing.Pool; starts no process
-        def __init__(self, processes):
-            started.append(processes)
+    class SerialPool:  # stands in for ProcessPoolExecutor; starts no process
+        def __init__(self, max_workers):
+            started.append(max_workers)
 
         def __enter__(self):
             return self
@@ -297,11 +323,10 @@ def test_sweep_starts_no_more_workers_than_runs_or_cores(tmp_path, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items, chunksize):
-            assert chunksize == 1  # larger chunks leave a worker idle at the end
+        def map(self, fn, items):  # the default chunk of one run keeps every worker busy
             return [fn(item) for item in items]
 
-    monkeypatch.setattr(cli, "Pool", SerialPool)
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
     scene = gen_scene(tmp_path)
     rc = main(["sweep", "--scene", str(scene), "--checkers", "state", "--thetas", "0,inf",
@@ -309,6 +334,46 @@ def test_sweep_starts_no_more_workers_than_runs_or_cores(tmp_path, monkeypatch):
                "--out", str(tmp_path / "x.csv")])
     assert rc == 0
     assert started == [2]
+
+
+# Runs a sweep whose worker for seed 102 dies at once, as an out-of-memory kill
+# would end it. Module level, so a spawned worker process patches itself too.
+DYING_SWEEP = """
+import os, sys
+from twinsync import cli
+
+real_run_paired = cli.run_paired
+
+
+def dying_run_paired(config):
+    if config.seed == 102:
+        os._exit(9)
+    return real_run_paired(config)
+
+
+cli.run_paired = dying_run_paired
+os.cpu_count = lambda: 2  # two workers even on a one-core host
+
+if __name__ == "__main__":
+    sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_sweep_whose_worker_dies_exits_2_and_writes_nothing(tmp_path):
+    script = tmp_path / "dying_sweep.py"
+    script.write_text(DYING_SWEEP)
+    out = tmp_path / "x.csv"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, str(script), "sweep", "--scene", str(SCENES / "scene1.json"),
+         "--checkers", "state", "--thetas", "0", "--repeats", "5", "--steps", "20",
+         "--seed", "100", "--jobs", "2", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2, done.stderr
+    assert "twinsync: runtime error" in done.stderr
+    assert not out.exists()
 
 
 def test_sweep_rejects_unknown_checker(tmp_path, capsys):

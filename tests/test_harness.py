@@ -110,9 +110,9 @@ def test_agent_stream_tapes_equal_scalar_draws(salt, twin_seed):
 def test_conditions_wire_the_right_threats():
     none, one, two = CONDITIONS["none"], CONDITIONS["I"], CONDITIONS["II"]
     assert none == ThreatConfig()
-    assert one.bias_degrees == 3.0 and one.divergent_seeds and not one.sensor_limited
+    assert one.bias_degrees == 3.0 and one.divergent_seeds and one.estimation_error_max == 0
     assert two.bias_degrees == 3.0 and not two.divergent_seeds
-    assert two.sensor_limited and two.estimation_error_max == 5.0
+    assert two.estimation_error_max == 5.0
 
 
 # ------------------------------------------------------------
@@ -137,8 +137,8 @@ def test_snapshot_without_threat_copies_exactly():
 
 
 def test_snapshot_is_the_physical_world_when_nothing_is_estimated():
-    # no sensor limit (condition I), or a sensor limit with every object
-    # covered: the report is exact, so the snapshot is the world and no
+    # no estimation error (condition I), or an estimation error with every
+    # object covered: the report is exact, so the snapshot is the world and no
     # noise is drawn
     world = drifted_world()
     rng = derive_rng(4)

@@ -1,5 +1,6 @@
 """Domain types: world construction, fleet knowledge, scene files and validation."""
 
+import dataclasses
 import json
 import math
 import re
@@ -11,12 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twinsync.model import (
+    SCENE_PARAMETERS,
     ActionKind,
     ActionRecord,
     SceneDrone,
     SceneObject,
     SceneSpec,
     load_scene,
+    parameter_violations,
     save_scene,
     scene_from_dict,
     scene_to_dict,
@@ -150,6 +153,26 @@ def test_validate_reports_parameter_violations():
     for needle in ("width", "k must", "range", "gamma", "delta",
                    "importance_period", "no drones", "no objects"):
         assert needle in text
+
+
+# A bad value per world parameter, by JSON key, and the message it must get.
+BROKEN_PARAMETERS = {
+    "width": (0.0, "width must be positive and finite, got 0.0"),
+    "height": (math.inf, "height must be positive and finite, got inf"),
+    "k": (0, "k must be >= 1, got 0"),
+    "range": (-1.0, "range must be positive and finite, got -1.0"),
+    "gamma": (1.0, "gamma must lie in (0, 1), got 1.0"),
+    "delta": (math.nan, "delta must be positive and finite, got nan"),
+    "importance_period": (0, "importance_period must be >= 1, got 0"),
+}
+
+
+@pytest.mark.parametrize("key,field", [row[:2] for row in SCENE_PARAMETERS],
+                         ids=[row[0] for row in SCENE_PARAMETERS])
+def test_each_parameter_broken_alone_is_named_by_its_key(key, field):
+    value, message = BROKEN_PARAMETERS[key]
+    assert parameter_violations(SCENE) == []
+    assert parameter_violations(dataclasses.replace(SCENE, **{field: value})) == [message]
 
 
 def test_validate_rejects_a_one_drone_scene(tmp_path):
