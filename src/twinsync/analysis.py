@@ -85,17 +85,6 @@ def hypervolume2d(points: Iterable[SolutionPoint]) -> float:
     return total
 
 
-def normalize_solutions(
-    points: Iterable[SolutionPoint], baseline_dev: float, max_updates: float
-) -> list[SolutionPoint]:
-    """Scale deviations by the no-update baseline and counts by the worst case."""
-    if not (baseline_dev > 0):
-        raise ValueError(f"baseline deviation must be positive, got {baseline_dev}")
-    if not (max_updates > 0):
-        raise ValueError(f"max updates must be positive, got {max_updates}")
-    return [SolutionPoint(p.dev / baseline_dev, p.upd / max_updates) for p in points]
-
-
 # Per-record payload sizes for the fine-grained comparison, by action kind:
 # follow carries its object id, notify adds the k-1 recipients, respond
 # carries responder and object, a random walk carries nothing.

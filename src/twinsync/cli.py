@@ -29,7 +29,6 @@ from .analysis import (
     SolutionPoint,
     hypervolume2d,
     left_sum,
-    normalize_solutions,
     pareto_front,
 )
 from .equivalence import CHECKER_NAMES
@@ -425,7 +424,7 @@ def _cmd_pareto(args) -> int:
             "filter with --scene/--condition"
         )
 
-    baseline_devs = [p.dev for _, theta, p in rows if math.isinf(theta)]
+    baseline_devs = [p.dev for _, theta, p in rows if theta == math.inf]
     if not baseline_devs:
         raise UsageError("no theta=inf baseline rows; sweep must include theta inf")
     baseline = left_sum(baseline_devs) / len(baseline_devs)
@@ -438,7 +437,7 @@ def _cmd_pareto(args) -> int:
     excluded = 0
     for checker in sorted({r["checker"] for r, _, _ in rows}):
         mine = [(r, p) for r, _, p in rows if r["checker"] == checker]
-        norm = normalize_solutions([p for _, p in mine], baseline, args.max_updates)
+        norm = [SolutionPoint(p.dev / baseline, p.upd / args.max_updates) for _, p in mine]
         front = set(pareto_front(norm))
         boxed = [p for p in norm if p.dev <= 1.0 and p.upd <= 1.0]
         excluded += len(norm) - len(boxed)

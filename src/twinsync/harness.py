@@ -360,8 +360,8 @@ def run_strategy_study(config: StrategyStudyConfig) -> StrategyStudyResult:
             config.start_min, config.start_max + 1, size=config.samples
         )
     )
-    clone_points = set(start_times)
-    snapshot_points = {s + config.accumulation for s in start_times}
+    # the physical worlds that clones start from and snapshots are taken of
+    kept_steps = set(start_times) | {s + config.accumulation for s in start_times}
 
     deviations: dict[str, list[float]] = {s: [] for s in STRATEGIES}
 
@@ -375,15 +375,14 @@ def run_strategy_study(config: StrategyStudyConfig) -> StrategyStudyResult:
                                          steps=branch_steps, channels=(CHANNEL_CHOICE,))
         noise_rng = derive_rng(config.seed, STREAM_NOISE, rep)
 
-        u_phys = [utility_k(physical)]
+        u_phys = []
         worlds: dict[int, WorldState] = {}
-        if 0 in clone_points:
-            worlds[0] = physical
-        for t in range(1, run_to + 1):
-            physical = step_world(physical, choice[t - 1].tolist(), walk[t - 1].tolist(),
-                                  bias_degrees=threat.bias_degrees)
+        for t in range(run_to + 1):
+            if t > 0:
+                physical = step_world(physical, choice[t - 1].tolist(), walk[t - 1].tolist(),
+                                      bias_degrees=threat.bias_degrees)
             u_phys.append(utility_k(physical))
-            if t in clone_points or t in snapshot_points:
+            if t in kept_steps:
                 worlds[t] = physical
 
         for start in start_times:

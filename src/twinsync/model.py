@@ -157,12 +157,24 @@ class SceneSpec:
 # JSON types a scene field may hold, by the name error messages give them.
 # bool is not a number here, and a float is not an integer.
 NUMBER, INTEGER, BOOL = "a number", "an integer", "true or false"
+
+
+class _JsonObject(dict):
+    """A parsed JSON object that keeps the keys its text gave more than once;
+    json.loads alone keeps the last value of a repeated key."""
+
+    def __init__(self, pairs):
+        super().__init__(pairs)
+        keys = [key for key, _ in pairs]
+        self.repeated = [key for key in self if keys.count(key) > 1]
+
+
 _JSON_TYPES = {
     NUMBER: (int, float),
     INTEGER: (int,),
     BOOL: (bool,),
     "a list": (list,),
-    "an object": (dict,),
+    "an object": (dict, _JsonObject),
 }
 
 _POSITIVE = ("must be positive and finite", lambda v: v > 0 and math.isfinite(v))
@@ -207,6 +219,9 @@ def _decoded(obj: dict, prefix: str, fields) -> list:
     """The values of an object's (key, JSON type) fields, in order; any other
     key is an error. An entity list decodes to a tuple of its entry type.
     Paths in messages are `prefix + key`, such as `drones[0].` + `x`."""
+    repeated = getattr(obj, "repeated", ())
+    if repeated:
+        raise ValueError(f"malformed scene data: duplicate field {prefix}{repeated[0]}")
     values = []
     for key, kind in fields:
         path = prefix + key
@@ -281,8 +296,8 @@ def validate_scene(scene: SceneSpec) -> list[str]:
 
 
 def load_scene(path: str | Path) -> SceneSpec:
-    """Read, decode and validate a scene file."""
-    scene = scene_from_dict(json.loads(Path(path).read_text()))
+    """Read, decode and validate a scene file; a key repeated in one object is an error."""
+    scene = scene_from_dict(json.loads(Path(path).read_text(), object_pairs_hook=_JsonObject))
     violations = validate_scene(scene)
     if violations:
         raise ValueError(f"invalid scene {path}: " + "; ".join(violations))

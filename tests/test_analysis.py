@@ -14,7 +14,6 @@ from twinsync.analysis import (
     comparison_memory_cost,
     dominates,
     hypervolume2d,
-    normalize_solutions,
     pareto_front,
 )
 
@@ -160,27 +159,6 @@ def test_hypervolume_monotone_under_insertion(pts, extra):
     assert grown >= base - 1e-12
     if any(dominates(q, p) or tuple(q) == tuple(p) for q in pts):
         assert grown == pytest.approx(base)
-
-
-# ------------------------------------------------------------
-# Normalization
-# ------------------------------------------------------------
-
-
-def test_normalize_solutions_scales_both_axes():
-    pts = [SolutionPoint(0.0718, 250.0), SolutionPoint(0.0, 1000.0)]
-    out = normalize_solutions(pts, baseline_dev=0.1436, max_updates=1000.0)
-    assert out[0].dev == pytest.approx(0.5)
-    assert out[0].upd == pytest.approx(0.25)
-    assert out[1].dev == 0.0
-    assert out[1].upd == pytest.approx(1.0)
-
-
-def test_normalize_solutions_validates():
-    with pytest.raises(ValueError, match="baseline"):
-        normalize_solutions([], baseline_dev=0.0, max_updates=10.0)
-    with pytest.raises(ValueError, match="max updates"):
-        normalize_solutions([], baseline_dev=1.0, max_updates=0.0)
 
 
 # ------------------------------------------------------------

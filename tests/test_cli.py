@@ -659,16 +659,19 @@ def test_pareto_rejects_a_nan_baseline(tmp_path, capsys):
 
 
 def test_pareto_takes_any_theta_and_a_whole_count(tmp_path, capsys):
+    # -inf updates at every check, as -1 does; only the +inf rows are the baseline
     src = tmp_path / "sol.csv"
     write_solutions(src, [
         "sA,I,state,-1,1,1,100,0,1000,0.0,10.0",
+        "sA,I,state,-inf,1,1,100,0,1000,0.0,10.0",
         "sA,I,state,2,1,1,100,0,50.0,0.1,10.0",
         "sA,I,state,inf,1,1,100,0,0,0.2,10.0",
     ])
     out = tmp_path / "f.csv"
     assert main(["pareto", "--input", str(src), "--out", str(out)]) == 0
-    assert [r[1:4] for r in read_rows(out)[1:4]] == [
-        ["-1", "0.0", "1.0"], ["2", "0.5", "0.05"], ["inf", "1.0", "0.0"]]
+    assert [r[1:4] for r in read_rows(out)[1:5]] == [
+        ["-1", "0.0", "1.0"], ["-inf", "0.0", "1.0"], ["2", "0.5", "0.05"],
+        ["inf", "1.0", "0.0"]]
 
 
 def test_pareto_rejects_missing_columns(tmp_path, capsys):
@@ -757,6 +760,22 @@ def test_run_rejects_mistyped_scene_field(tmp_path, capsys):
                "--trace", str(tmp_path / "t.csv"), "--summary", str(tmp_path / "s.csv")])
     assert rc == 1
     assert "objects[0].important must be true or false" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old,new,named", [
+    ('"gamma": 0.9', '"gamma": 0.5, "gamma": 0.9', "gamma"),
+    ('"x": ', '"x": 1.0, "x": ', "drones[0].x"),
+])
+def test_run_rejects_a_repeated_scene_key(tmp_path, capsys, old, new, named):
+    text = (SCENES / "scene1.json").read_text()
+    assert old in text
+    scene = tmp_path / "twice.json"
+    scene.write_text(text.replace(old, new, 1))
+    rc = main(["run", "--scene", str(scene), "--steps", "1",
+               "--trace", str(tmp_path / "t.csv"), "--summary", str(tmp_path / "s.csv")])
+    assert rc == 1
+    assert f"malformed scene data: duplicate field {named}" in capsys.readouterr().err
+    assert not any(tmp_path.glob("*.csv"))
 
 
 @pytest.mark.parametrize("argv,named", [

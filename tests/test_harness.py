@@ -679,12 +679,16 @@ def test_divergent_twins_draw_no_tape_they_discard(monkeypatch):
     assert drawn == [(3, both), (4, (CHANNEL_CHOICE,))]
 
 
-@pytest.mark.parametrize("condition", ["I", "II"])
-def test_study_clones_read_the_tapes_at_their_offsets(monkeypatch, condition):
+@pytest.mark.parametrize("condition,start_min,start_max",
+                         [("I", 1, 40), ("II", 1, 40), ("I", 0, 0), ("II", 0, 0)],
+                         ids=["I", "II", "I-start-0", "II-start-0"])
+def test_study_clones_read_the_tapes_at_their_offsets(monkeypatch, condition, start_min,
+                                                      start_max):
     # The physical world reads tape row t at time t. A clone at `start`, and
     # every branch after it, reads the physical walk tape at its own time; its
     # choice channel reads the physical tape too, or, under seed divergence,
-    # the seed + 1 tape from row 0 at the clone.
+    # the seed + 1 tape from row 0 at the clone. A clone at t = 0 starts from
+    # the built world.
     calls = []
 
     def recording(world, choice, walk, *args, **kwargs):
@@ -692,7 +696,7 @@ def test_study_clones_read_the_tapes_at_their_offsets(monkeypatch, condition):
         return step_world(world, choice, walk, *args, **kwargs)
 
     monkeypatch.setattr(harness, "step_world", recording)
-    config = study_config(condition=condition)
+    config = study_config(condition=condition, start_min=start_min, start_max=start_max)
     result = run_strategy_study(config)
     branch_steps = config.accumulation + config.evaluation
     run_to = config.start_max + branch_steps

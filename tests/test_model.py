@@ -320,6 +320,21 @@ def test_unknown_scene_field_is_named_and_exits_1(tmp_path, path):
                  "--summary", str(tmp_path / "s.csv")]) == 1
 
 
+@pytest.mark.parametrize("path", SCENE_KEYS)
+def test_repeated_scene_key_is_named(tmp_path, path):
+    # json.loads alone keeps the last value of a repeated key; even the same
+    # value given twice is refused
+    data = scene_to_dict(SCENE)
+    holder, key = holder_of(data, path)
+    value = json.dumps(holder[key])
+    holder[key] = "REPEATED"
+    scene_file = tmp_path / "twice.json"
+    scene_file.write_text(json.dumps(data).replace('"REPEATED"', f'{value}, "{key}": {value}'))
+    with pytest.raises(ValueError, match=re.escape(
+            f"malformed scene data: duplicate field {path}")):
+        load_scene(scene_file)
+
+
 @pytest.mark.parametrize("data,path", [
     ([], "scene"),
     ({**scene_to_dict(SCENE), "drones": {}}, "drones"),
