@@ -74,17 +74,15 @@ def decide(
         if world.coverage[j] < world.params.k:  # drone i counts itself
             notify = select_notify_targets(world.weights[i].tolist(), i, world.params.k)
             notified = frozenset(ids[n] for n in notify)
-            action = ActionRecord(ids[i], ActionKind.NOTIFY_AND_FOLLOW,
-                                  world.object_ids[j], notified)
+            action = ActionRecord(ActionKind.NOTIFY_AND_FOLLOW, world.object_ids[j], notified)
             return action, target, notify
-        return ActionRecord(ids[i], ActionKind.FOLLOW, world.object_ids[j]), target, []
+        return ActionRecord(ActionKind.FOLLOW, world.object_ids[j]), target, []
 
     if world.inbox[i]:
         sender, object_id, x, y = select_response(world.inbox[i], world.weights[i].tolist())
-        action = ActionRecord(ids[i], ActionKind.RESPOND_AND_FOLLOW, object_id,
-                              frozenset(), ids[sender])
+        action = ActionRecord(ActionKind.RESPOND_AND_FOLLOW, object_id, frozenset(), ids[sender])
         return action, (x, y, RESPOND_DISTANCE), []
-    return ActionRecord(ids[i], ActionKind.RANDOM_WALK), None, []
+    return ActionRecord(ActionKind.RANDOM_WALK), None, []
 
 
 def evolve_knowledge(

@@ -111,7 +111,7 @@ def comparison_memory_cost(
     action: one kind header per drone, twice.
     action2: headers plus per-kind detail for the step's actual action mix,
     which is why it needs k and the two worlds' kind sequences.
-    TwinRunConfig checks m >= 2, n_obj >= 1 and action2's k >= 2.
+    TwinRunConfig checks m >= 2 and n_obj >= 1.
     """
     if method == "knowledge":
         return float(m * (m - 1))

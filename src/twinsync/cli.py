@@ -80,6 +80,8 @@ def generate_scene(params: SceneSpec, n_drones: int, n_objects: int, seed: int) 
     bad = parameter_violations(params)
     if n_drones < 2:  # knowledge is an edge between two drones
         bad.append(f"drones must be >= 2, got {n_drones}")
+    elif params.k > n_drones:
+        bad.append(f"k must be <= the number of drones ({n_drones}), got {params.k}")
     if n_objects < 1:
         bad.append(f"objects must be >= 1, got {n_objects}")
     if seed < 0:
@@ -207,12 +209,14 @@ def _load_scene_for(args) -> tuple[SceneSpec, str]:
 
 
 def _check_paths(args) -> None:
-    """Each output goes into an existing directory, and to no input or other output."""
+    """Each output goes into an existing directory, is not one, and is no input or other output."""
     taken = {Path(getattr(args, field)).resolve(): field for field in args.inputs}
     for field in args.outputs:
         path = Path(getattr(args, field)).resolve()
         if not path.parent.is_dir():
             raise UsageError(f"{_flag(field)} {getattr(args, field)}: no such directory")
+        if path.is_dir():
+            raise UsageError(f"{_flag(field)} {getattr(args, field)}: is a directory")
         if path in taken:
             raise UsageError(f"{_flag(field)} is the same file as {_flag(taken[path])}")
         taken[path] = field

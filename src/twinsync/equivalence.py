@@ -58,23 +58,16 @@ def state_deviation(s_physical: np.ndarray, s_twin: np.ndarray) -> float:
 # ============================================================
 
 
-def _aligned(physical: Sequence[ActionRecord], twin: Sequence[ActionRecord]):
-    """Pair the worlds' records drone by drone; both come in drone order."""
-    if len(physical) != len(twin) or any(
-        a.drone_id != b.drone_id for a, b in zip(physical, twin)
-    ):
-        raise ValueError("action records cover different drone id sequences")
-    return zip(physical, twin)
-
-
 def coarse_action_deviation(
     physical: Sequence[ActionRecord], twin: Sequence[ActionRecord]
 ) -> float:
-    """Fraction of drones whose action kind differs between the worlds."""
-    pairs = _aligned(physical, twin)
-    if not physical:
-        return 0.0
-    return sum(1 for a, b in pairs if a.kind is not b.kind) / len(physical)
+    """Fraction of drones whose action kind differs between the worlds.
+
+    Both worlds hold one record per drone in drone order, so records pair up
+    by position; sequences of different lengths raise ValueError.
+    """
+    differ = sum(1 for a, b in zip(physical, twin, strict=True) if a.kind is not b.kind)
+    return differ / len(physical) if physical else 0.0
 
 
 def fine_action_deviation(physical: ActionRecord, twin: ActionRecord, k: int) -> float:
@@ -83,10 +76,10 @@ def fine_action_deviation(physical: ActionRecord, twin: ActionRecord, k: int) ->
     Same-kind pairs compare their details: followed object, responder
     identity, and the overlap of notified sets (scaled by the k-1 fan-out).
     A follow against a notify-and-follow costs 0.5 plus 0.5 if the objects
-    differ; any other kind mismatch costs 1.
+    differ; any other kind mismatch costs 1. Notify records exist only at
+    k >= 2: a drone notifies about an object it has in range and that is not
+    k-covered, so at k = 1 none does.
     """
-    if physical.drone_id != twin.drone_id:
-        raise ValueError("fine-grained comparison crosses drone ids")
     pk, tk = physical.kind, twin.kind
 
     if pk is ActionKind.RANDOM_WALK and tk is ActionKind.RANDOM_WALK:
@@ -114,11 +107,10 @@ def fine_action_deviation(physical: ActionRecord, twin: ActionRecord, k: int) ->
 def mean_fine_action_deviation(
     physical: Sequence[ActionRecord], twin: Sequence[ActionRecord], k: int
 ) -> float:
-    """Average fine-grained deviation across the swarm."""
-    pairs = _aligned(physical, twin)
-    if not physical:
-        return 0.0
-    return left_sum(fine_action_deviation(a, b, k) for a, b in pairs) / len(physical)
+    """Average fine-grained deviation across the swarm, records paired by position."""
+    total = left_sum(fine_action_deviation(a, b, k)
+                     for a, b in zip(physical, twin, strict=True))
+    return total / len(physical) if physical else 0.0
 
 
 # ============================================================

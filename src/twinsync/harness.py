@@ -196,8 +196,6 @@ class TwinRunConfig:
     def __post_init__(self):
         _one_of(self, "condition", CONDITIONS)
         _one_of(self, "checker", CHECKERS)
-        _require(self.checker != "action2" or self.scene.k >= 2, "checker",
-                 f"action2 needs k >= 2, got k = {self.scene.k}")
         # bool is a number to Python, and a string fails inside math.isnan
         _require(isinstance(self.theta, Real) and not isinstance(self.theta, bool), "theta",
                  f"must be a number, got {self.theta!r}")

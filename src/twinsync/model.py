@@ -24,9 +24,12 @@ class ActionKind(str, Enum):
 
 
 class ActionRecord(NamedTuple):
-    """What one drone did in one step, in categorised form."""
+    """What one drone did in one step, in categorised form.
 
-    drone_id: int
+    A world holds one record per drone, in drone order, so a record's drone
+    is its position in `WorldState.actions`.
+    """
+
     kind: ActionKind
     followed_object: int | None = None
     notified_drones: frozenset[int] = frozenset()
@@ -273,6 +276,8 @@ def validate_scene(scene: SceneSpec) -> list[str]:
         bad.append("scene has no drones")
     elif len(scene.drones) < 2:  # knowledge is an edge between two drones
         bad.append("scene has 1 drone; need at least two")
+    elif scene.k > len(scene.drones):  # no object could ever be k-covered
+        bad.append(f"k must be <= the number of drones ({len(scene.drones)}), got {scene.k}")
     if not scene.objects:
         bad.append("scene has no objects")
 

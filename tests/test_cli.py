@@ -12,10 +12,10 @@ from pathlib import Path
 
 import pytest
 
-from twinsync import cli
+from twinsync import cli, equivalence
 from twinsync.cli import main
 from twinsync.harness import StrategyStudyConfig, TwinRunConfig, run_paired
-from twinsync.model import load_scene
+from twinsync.model import ActionKind, load_scene
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
@@ -173,11 +173,25 @@ def test_run_identity_trace_shows_zero_deviation(tmp_path):
         assert row[4] == "0"
 
 
-def test_run_rejects_action2_when_k_is_1(tmp_path, capsys):
+def test_run_takes_action2_when_k_is_1(tmp_path, monkeypatch):
+    # a drone notifies only about an object that fewer than k drones have in
+    # range, itself included, so at k = 1 none does and action2 never meets
+    # a notify record's k - 1 = 0 fan-out
+    kinds = []
+    mean_fine = equivalence.mean_fine_action_deviation
+
+    def spy(physical, twin, k):
+        kinds.extend(a.kind for a in (*physical, *twin))
+        return mean_fine(physical, twin, k)
+
+    monkeypatch.setattr(equivalence, "mean_fine_action_deviation", spy)
     scene = gen_scene(tmp_path, "k1.json", flags=["--k", "1"])
-    rc, _, _ = run_cmd(tmp_path, scene, "--checker", "action2")
-    assert rc == 1
-    assert "action2" in capsys.readouterr().err
+    rc, trace, _ = run_cmd(tmp_path, scene, "--condition", "I", "--checker", "action2",
+                           "--theta", "0", "--steps", "200")
+    assert rc == 0
+    assert len(read_rows(trace)) == 201
+    assert ActionKind.FOLLOW in kinds
+    assert ActionKind.NOTIFY_AND_FOLLOW not in kinds
 
 
 def test_run_rejects_bad_step_count(tmp_path, capsys):
@@ -200,12 +214,16 @@ def test_run_unknown_checker_exits_1(tmp_path):
     assert exc.value.code == 1
 
 
-def test_run_unwritable_output_is_a_runtime_error(tmp_path, capsys):
-    # an existing directory passes the path check, and the write then fails
+def test_run_unwritable_output_is_a_runtime_error(tmp_path, monkeypatch, capsys):
+    # the paths pass the check before the run, and the write then fails
     scene = gen_scene(tmp_path)
-    (tmp_path / "taken").mkdir()
+
+    def full_disk(path, header, rows):
+        raise OSError(28, "No space left on device", path)
+
+    monkeypatch.setattr(cli, "_write_csv", full_disk)
     rc = main(["run", "--scene", str(scene), "--steps", "5",
-               "--trace", str(tmp_path / "taken"), "--summary", str(tmp_path / "s.csv")])
+               "--trace", str(tmp_path / "t.csv"), "--summary", str(tmp_path / "s.csv")])
     assert rc == 2
     assert "runtime error" in capsys.readouterr().err
 
@@ -386,7 +404,7 @@ def test_sweep_rejects_unknown_checker(tmp_path, capsys):
 
 @pytest.mark.parametrize("extra,named", [
     (["--checkers", "state,bogus"], "--checkers 'bogus' is not a known checker"),
-    (["--checkers", "state,action2"], "--checkers action2 needs k >= 2"),
+    (["--repeats", "0"], "--repeats must be >= 1, got 0"),
     (["--thetas", "0,nan"], "--thetas must not be NaN"),
     (["--jobs", "0"], "--jobs must be >= 1"),
     (["--checkers", "knowledge,knowledge"], "--checkers lists 'knowledge' twice"),
@@ -395,7 +413,7 @@ def test_sweep_rejects_unknown_checker(tmp_path, capsys):
 def test_sweep_with_a_bad_setting_starts_no_run(tmp_path, monkeypatch, capsys, extra, named):
     runs = []
     monkeypatch.setattr(cli, "run_paired", lambda config: runs.append(config))
-    scene = gen_scene(tmp_path, "k1.json", flags=["--k", "1"])  # k = 1 refuses action2
+    scene = gen_scene(tmp_path)
     argv = ["sweep", "--scene", str(scene), "--checkers", "state", "--thetas", "0,inf",
             "--steps", "5", "--jobs", "1", "--out", str(tmp_path / "x.csv")]
     rc = main(argv + extra)
@@ -691,6 +709,7 @@ def test_pareto_rejects_missing_columns(tmp_path, capsys):
     ("--gamma", "1.5", "gamma"),
     ("--delta", "0", "delta"),
     ("--importance-period", "0", "importance_period"),
+    ("--k", "4", "k"),  # above --drones: no object could ever be k-covered
 ])
 def test_gen_scene_rejects_bad_parameter_and_writes_nothing(tmp_path, capsys, flag, value,
                                                             field):
@@ -751,6 +770,21 @@ def test_a_one_drone_scene_exits_1_before_any_step(tmp_path, monkeypatch, capsys
     assert not any(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("k", [6, 10**400], ids=["6", "10**400"])
+def test_run_rejects_k_above_the_drone_count(tmp_path, capsys, k):
+    # no object could ever be k-covered, so every utility would read 0, and a
+    # k beyond float range failed mid-run
+    data = json.loads((SCENES / "scene1.json").read_text())
+    data["k"] = k
+    scene = tmp_path / "wide.json"
+    scene.write_text(json.dumps(data))
+    rc = main(["run", "--scene", str(scene), "--checker", "action2", "--steps", "5",
+               "--trace", str(tmp_path / "t.csv"), "--summary", str(tmp_path / "s.csv")])
+    assert rc == 1
+    assert f"k must be <= the number of drones (5), got {k}" in capsys.readouterr().err
+    assert not any(tmp_path.glob("*.csv"))
+
+
 def test_run_rejects_mistyped_scene_field(tmp_path, capsys):
     data = json.loads((SCENES / "scene1.json").read_text())
     data["objects"][0]["important"] = "false"
@@ -804,6 +838,14 @@ def test_run_rejects_a_repeated_scene_key(tmp_path, capsys, old, new, named):
     (["strategy-study", "--scene", "scene.json", "--out", "scene.json"],
      "--out is the same file as --scene"),
     (["pareto", "--input", "sol.csv", "--out", "sol.csv"], "--out is the same file as --input"),
+    # an existing directory would fail only at the write, after every run
+    (["gen-scene", "--drones", "3", "--objects", "4", "--out", "."], "--out .: is a directory"),
+    (["run", "--scene", "scene.json", "--trace", "."], "--trace .: is a directory"),
+    (["run", "--scene", "scene.json", "--summary", ".."], "--summary ..: is a directory"),
+    (["sweep", "--scene", "scene.json", "--thetas", "0", "--jobs", "1", "--out", "."],
+     "--out .: is a directory"),
+    (["strategy-study", "--scene", "scene.json", "--out", "."], "--out .: is a directory"),
+    (["pareto", "--input", "sol.csv", "--out", "."], "--out .: is a directory"),
 ])
 def test_a_bad_output_path_exits_1_before_any_work(tmp_path, monkeypatch, capsys, argv, named):
     monkeypatch.chdir(tmp_path)

@@ -469,10 +469,6 @@ def test_run_paired_validates_config():
         run_paired(run_config(checker="vibes"))
     with pytest.raises(ValueError, match="steps"):
         run_paired(run_config(steps=0))
-    low_k = make_scene(drones=[(0, 1.0, 1.0), (1, 2.0, 2.0)],
-                       objects=[(0, 5.0, 5.0, 0.0, True)], k=1)
-    with pytest.raises(ValueError, match="^checker action2 needs k >= 2"):
-        run_paired(TwinRunConfig(scene=low_k, checker="action2", steps=5))
 
 
 @pytest.mark.parametrize("field,value", [

@@ -185,6 +185,20 @@ def test_validate_rejects_a_one_drone_scene(tmp_path):
         load_scene(path)
 
 
+def test_validate_rejects_k_above_the_drone_count():
+    # no object could ever be k-covered, so every utility would read 0
+    pair = [(0, 1.0, 1.0), (1, 2.0, 2.0)]
+    objects = [(0, 5.0, 5.0, 0.0, True)]
+    assert validate_scene(make_scene(drones=pair, objects=objects, k=2)) == []
+    assert validate_scene(make_scene(drones=pair, objects=objects, k=3)) == [
+        "k must be <= the number of drones (2), got 3"]
+    # a scene short of drones reports only that
+    lone = make_scene(drones=[(0, 1.0, 1.0)], objects=objects, k=3)
+    assert validate_scene(lone) == ["scene has 1 drone; need at least two"]
+    none = make_scene(drones=[], objects=objects, k=3)
+    assert validate_scene(none) == ["scene has no drones"]
+
+
 def test_validate_rejects_non_finite_direction():
     scene = make_scene(
         drones=[(0, 1.0, 1.0)],
@@ -208,8 +222,8 @@ def test_load_scene_strict_rejects_invalid(tmp_path):
 
 
 def test_message_and_entity_shapes():
-    record = ActionRecord(1, ActionKind.FOLLOW, 4)
-    assert record == (1, ActionKind.FOLLOW, 4, frozenset(), None)
+    record = ActionRecord(ActionKind.FOLLOW, 4)
+    assert record == (ActionKind.FOLLOW, 4, frozenset(), None)
     assert record.followed_object == 4 and record.responded_to is None
     drone = SceneDrone(1, 2.0, 3.0)
     assert drone.id == 1

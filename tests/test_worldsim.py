@@ -242,7 +242,6 @@ def test_step_world_counts_and_clock():
         assert world.time == t
         world = run_steps(world, tapes, 1, t0=t)
         assert len(world.actions) == 2
-        assert tuple(a.drone_id for a in world.actions) == world.drone_ids
         assert len(world.drone_x) == len(world.drone_y) == len(world.inbox) == 2
         assert len(world.object_x) == len(world.coverage) == 1
         assert all(0 <= x <= 50 for x in world.drone_x)
@@ -403,6 +402,8 @@ def test_step_world_matches_object_reference(seed, m, n, k, bias, steps, period)
         assert world.weights.tobytes() == ref.weights.tobytes()
         assert np.array_equal(world.in_range, ref.in_range)
         assert world.coverage == tuple(ref.in_range.sum(axis=0).tolist())
+        # a record's drone is its position: the reference's come in drone order
+        assert tuple(a.drone_id for a in ref_actions) == world.drone_ids
         assert [tuple(a) for a in world.actions] == [
-            (a.drone_id, a.kind, a.followed_object, a.notified_drones, a.responded_to)
+            (a.kind, a.followed_object, a.notified_drones, a.responded_to)
             for a in ref_actions]
