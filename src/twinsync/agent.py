@@ -29,9 +29,10 @@ def build_perceptions(
     once: `step_world` hands the moved world's sensing on, and only new
     positions are sensed afresh.
     """
-    dx = np.array(drone_x, dtype=float)[:, None] - np.array(object_x, dtype=float)
-    dy = np.array(drone_y, dtype=float)[:, None] - np.array(object_y, dtype=float)
-    in_range = read_only(np.hypot(dx, dy) <= sensing_range)
+    m, n = len(drone_x), len(object_x)
+    gap = (np.fromiter([*drone_x, *drone_y], float, 2 * m).reshape(2, m, 1)
+           - np.fromiter([*object_x, *object_y], float, 2 * n).reshape(2, 1, n))
+    in_range = read_only(np.hypot(gap[0], gap[1]) <= sensing_range)
     return in_range, tuple(in_range.sum(axis=0).tolist())
 
 
@@ -54,9 +55,13 @@ def select_response(inbox: Sequence[Request], row: Sequence[float]) -> Request |
     return min(inbox, key=lambda r: (-row[r[0]], r[0]))
 
 
+# A random walk reads nothing of the world, so every walk shares one decision.
+_RANDOM_WALK = (ActionRecord(ActionKind.RANDOM_WALK), None, ())
+
+
 def decide(
     world: WorldState, i: int, sensed: Sequence[int], choice: float
-) -> tuple[ActionRecord, tuple[float, float, float] | None, list[int]]:
+) -> tuple[ActionRecord, tuple[float, float, float] | None, Sequence[int]]:
     """Select drone i's action for this step.
 
     `sensed` lists the important objects drone i has in range, by ascending
@@ -67,22 +72,25 @@ def decide(
     movement budget as (x, y, budget), or None for a random walk, and the
     indices of the drones that get a help request.
     """
-    ids = world.drone_ids
     if sensed:
         j = sensed[int(choice * len(sensed))]  # sensed is ordered: order-independent pick
         target = (world.object_x[j], world.object_y[j], FOLLOW_DISTANCE)
-        if world.coverage[j] < world.params.k:  # drone i counts itself
-            notify = select_notify_targets(world.weights[i].tolist(), i, world.params.k)
-            notified = frozenset(ids[n] for n in notify)
-            action = ActionRecord(ActionKind.NOTIFY_AND_FOLLOW, world.object_ids[j], notified)
-            return action, target, notify
-        return ActionRecord(ActionKind.FOLLOW, world.object_ids[j]), target, []
+        k = world.params.k
+        if world.coverage[j] >= k:  # drone i counts itself
+            return ActionRecord(ActionKind.FOLLOW, world.object_ids[j]), target, ()
+        notify = select_notify_targets(world.weights[i].tolist(), i, k)
+        ids = world.drone_ids
+        notified = frozenset(ids[n] for n in notify)
+        action = ActionRecord(ActionKind.NOTIFY_AND_FOLLOW, world.object_ids[j], notified)
+        return action, target, notify
 
-    if world.inbox[i]:
-        sender, object_id, x, y = select_response(world.inbox[i], world.weights[i].tolist())
-        action = ActionRecord(ActionKind.RESPOND_AND_FOLLOW, object_id, frozenset(), ids[sender])
-        return action, (x, y, RESPOND_DISTANCE), []
-    return ActionRecord(ActionKind.RANDOM_WALK), None, []
+    inbox = world.inbox[i]
+    if inbox:
+        sender, object_id, x, y = select_response(inbox, world.weights[i].tolist())
+        action = ActionRecord(ActionKind.RESPOND_AND_FOLLOW, object_id, frozenset(),
+                              world.drone_ids[sender])
+        return action, (x, y, RESPOND_DISTANCE), ()
+    return _RANDOM_WALK
 
 
 def evolve_knowledge(
@@ -101,10 +109,10 @@ def evolve_knowledge(
     delta * n_objects / (1 - gamma); float64 rounding can reach or pass that
     bound by a few ulps.
     """
-    hits = in_range.astype(np.int64)
-    shared = hits @ hits.T
+    hits = in_range.astype(float)  # float64 counts are exact: none exceeds n
+    shared = np.dot(hits, hits.T)  # cheaper than @ at these sizes
     shared.flat[:: len(shared) + 1] = 0  # the diagonal; cheaper than np.fill_diagonal
     out = weights * gamma
     for level in range(1, int(shared.max(initial=0)) + 1):
-        np.add(out, delta, out=out, where=shared >= level)  # in place, no masked copy
+        np.putmask(out, shared >= level, out + delta)  # cheaper than np.add(..., where=)
     return read_only(out)

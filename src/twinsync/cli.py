@@ -15,7 +15,6 @@ Every subcommand is deterministic given its seed flags. Exit codes: 0 ok,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures  # loads ProcessPoolExecutor's modules only when a sweep pools
 import csv
 import math
 import os
@@ -339,8 +338,12 @@ def _cmd_sweep(args) -> int:
         ]
     processes = _pool_size(args.jobs, len(work))
     if processes > 1:
-        # map keeps submission order and hands out one run at a time; a dead
-        # worker raises BrokenProcessPool rather than hanging
+        # imported here: concurrent.futures loads logging, traceback and
+        # string, which no other command needs. map keeps submission order and
+        # hands out one run at a time; a dead worker raises BrokenProcessPool
+        # rather than hanging
+        import concurrent.futures
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=processes) as pool:
             rows = list(pool.map(_sweep_worker, work))
     else:

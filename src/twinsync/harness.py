@@ -13,7 +13,7 @@ from .analysis import avg_utility_deviation, comparison_memory_cost
 from .equivalence import CHECKERS, windowed_check
 from .model import SceneSpec, WorldState, read_only, validate_scene
 from .agent import build_perceptions
-from .worldsim import clamp_point, step_world, utility_k
+from .worldsim import step_world, utility_k
 
 # ============================================================
 # Randomness plumbing
@@ -102,12 +102,12 @@ def sense_snapshot(
     if threat.estimation_error_max == 0 or all(physical.coverage):
         return physical
     e = threat.estimation_error_max
-    bounds = physical.params.bounds
+    width, height = physical.params.bounds
     object_x, object_y = list(physical.object_x), list(physical.object_y)
     for j, count in enumerate(physical.coverage):
         if count == 0:
-            object_x[j], object_y[j] = clamp_point(
-                object_x[j] + rng.uniform(0.0, e), object_y[j] + rng.uniform(0.0, e), bounds)
+            x, y = object_x[j] + rng.uniform(0.0, e), object_y[j] + rng.uniform(0.0, e)
+            object_x[j], object_y[j] = min(max(x, 0.0), width), min(max(y, 0.0), height)
     in_range, coverage = build_perceptions(
         physical.drone_x, physical.drone_y, object_x, object_y, physical.params.sensing_range)
     return replace(physical, object_x=tuple(object_x), object_y=tuple(object_y),
@@ -338,14 +338,15 @@ class StrategyStudyResult:
 def run_strategy_study(config: StrategyStudyConfig) -> StrategyStudyResult:
     """Compare the three update strategies on identical drift episodes.
 
-    Per repeat, one physical trajectory runs to the last evaluated step. At
-    each sampled start the twin is cloned from the physical world and reads
-    the physical draw tapes on from the clone's row (under seed divergence
-    its choice channel reads the divergent seed's tape from row 0), drifts
-    for the accumulation phase, receives one shared snapshot through each
-    strategy in turn, and is scored on mean |u - u'| over the evaluation
-    phase. Every strategy sees identical worlds, draws, and snapshot bytes
-    at the branch point.
+    Per repeat, one physical trajectory runs to step start_max +
+    accumulation + evaluation, the last step any start could evaluate,
+    whichever starts were drawn. At each sampled start the twin is cloned
+    from the physical world and reads the physical draw tapes on from the
+    clone's row (under seed divergence its choice channel reads the
+    divergent seed's tape from row 0), drifts for the accumulation phase,
+    receives one shared snapshot through each strategy in turn, and is
+    scored on mean |u - u'| over the evaluation phase. Every strategy sees
+    identical worlds, draws, and snapshot bytes at the branch point.
     """
     threat = CONDITIONS[config.condition]
     branch_steps = config.accumulation + config.evaluation

@@ -43,7 +43,7 @@ class ActionRecord(NamedTuple):
 
 def read_only(array: np.ndarray) -> np.ndarray:
     """Mark an array read-only and return it, so world states can share it."""
-    array.flags.writeable = False
+    array.setflags(write=False)
     return array
 
 

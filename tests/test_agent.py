@@ -218,7 +218,7 @@ def test_decide_follows_when_already_k_covered():
     assert action.kind is ActionKind.FOLLOW
     assert action.followed_object == 4
     assert action.notified_drones == frozenset()
-    assert notify == []
+    assert notify == ()
     assert target == (3.0, 0.0, FOLLOW_DISTANCE)
 
 
@@ -236,7 +236,7 @@ def test_decide_responds_to_best_request():
     assert action.responded_to == 1
     assert action.followed_object == 7
     assert target == (9.0, 9.0, RESPOND_DISTANCE)
-    assert notify == []
+    assert notify == ()
 
 
 def test_decide_important_object_outranks_inbox():
@@ -248,7 +248,7 @@ def test_decide_random_walk_when_idle():
     action, target, notify = decide_of()
     assert action.kind is ActionKind.RANDOM_WALK
     assert target is None  # step_world turns the walk draw into a heading
-    assert notify == []
+    assert notify == ()
     assert action.followed_object is None
     assert action.notified_drones == frozenset()
     assert action.responded_to is None

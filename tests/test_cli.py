@@ -1,5 +1,6 @@
 """End-to-end checks of the twinsync command line."""
 
+import concurrent.futures
 import csv
 import dataclasses
 import json
@@ -344,7 +345,7 @@ def test_sweep_starts_no_more_workers_than_runs_or_cores(tmp_path, monkeypatch):
         def map(self, fn, items):  # the default chunk of one run keeps every worker busy
             return [fn(item) for item in items]
 
-    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
     scene = gen_scene(tmp_path)
     rc = main(["sweep", "--scene", str(scene), "--checkers", "state", "--thetas", "0,inf",

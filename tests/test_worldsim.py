@@ -1,6 +1,7 @@
 """World dynamics: movement, reflection, coverage, the lockstep step function."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,16 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twinsync.harness import agent_streams
-from twinsync.model import ActionKind
-from twinsync.worldsim import (
-    clamp_point,
-    coverage_map,
-    move_object,
-    move_point_toward,
-    step_world,
-    toggle_importance,
-    utility_k,
-)
+from twinsync.model import ActionKind, load_scene
+from twinsync.worldsim import coverage_map, step_world, utility_k
 
 from helpers import (
     make_scene,
@@ -26,7 +19,7 @@ from helpers import (
     reference_step,
 )
 
-BOUNDS = (50.0, 50.0)
+SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
 
 def run_steps(world, streams, steps, t0=0, **kwargs):
@@ -38,34 +31,52 @@ def run_steps(world, streams, steps, t0=0, **kwargs):
 
 
 # ------------------------------------------------------------
-# Point movement
+# Drone movement
 # ------------------------------------------------------------
+# The movement rules live inside step_world: these cases step worlds built
+# so that one rule decides each drone's or object's next position.
+
+
+def world_of(drones, objects, **params):
+    return make_scene(drones, objects, **params).build_world()
+
+
+def follow_step(drone, target):
+    """Where a lone drone at `drone` moves when it follows an object at `target`."""
+    world = world_of([(0, *drone)], [(0, *target, 0.0, True)], k=1)
+    stepped = step_world(world, [0.0], [0.0])
+    assert stepped.actions[0].kind is ActionKind.FOLLOW
+    return stepped.drone_x[0], stepped.drone_y[0]
 
 
 def test_clamp_point_corners():
-    assert clamp_point(-1.0, 25.0, BOUNDS) == (0.0, 25.0)
-    assert clamp_point(51.0, -3.0, BOUNDS) == (50.0, 0.0)
-    assert clamp_point(12.0, 13.0, BOUNDS) == (12.0, 13.0)
+    # random walks of 5 units out past a wall or a corner stop on the bounds
+    far = [(0, 40.0, 40.0, 0.0, False)]  # unimportant: every drone walks
+    world = world_of([(0, 2.0, 25.0), (1, 48.0, 2.0), (2, 1.0, 1.0), (3, 12.0, 13.0)], far)
+    stepped = step_world(world, [0.0] * 4, [0.5, 0.875, 0.625, 0.0])  # 180, 315, 225, 0 deg
+    assert [a.kind for a in stepped.actions] == [ActionKind.RANDOM_WALK] * 4
+    assert stepped.drone_x == (0.0, 50.0, 0.0, 17.0)
+    assert stepped.drone_y == (25.0, 0.0, 0.0, 13.0)
 
 
 def test_move_point_toward_axis_aligned():
-    assert move_point_toward(0.0, 0.0, 10.0, 0.0, 1.0, BOUNDS) == (1.0, 0.0)
+    assert follow_step((0.0, 0.0), (10.0, 0.0)) == (1.0, 0.0)
 
 
 def test_move_point_toward_overshoot_snaps_to_target():
-    assert move_point_toward(0.0, 0.0, 0.5, 0.0, 1.0, BOUNDS) == (0.5, 0.0)
+    assert follow_step((0.0, 0.0), (0.5, 0.0)) == (0.5, 0.0)
 
 
 def test_move_point_toward_exact_arrival():
-    assert move_point_toward(0.0, 0.0, 3.0, 4.0, 5.0, BOUNDS) == (3.0, 4.0)
+    assert follow_step((3.0, 3.0), (3.0, 4.0)) == (3.0, 4.0)
 
 
 def test_move_point_toward_degenerate_stays_put():
-    assert move_point_toward(2.0, 2.0, 2.0, 2.0, 1.0, BOUNDS) == (2.0, 2.0)
+    assert follow_step((2.0, 2.0), (2.0, 2.0)) == (2.0, 2.0)
 
 
 def test_move_point_toward_proportional_step():
-    x, y = move_point_toward(0.0, 0.0, 3.0, 4.0, 1.0, BOUNDS)
+    x, y = follow_step((0.0, 0.0), (3.0, 4.0))
     assert x == pytest.approx(0.6)
     assert y == pytest.approx(0.8)
 
@@ -75,51 +86,58 @@ def test_move_point_toward_proportional_step():
 # ------------------------------------------------------------
 
 
+def move_object(x, y, direction, bias_degrees):
+    """One object's next (x, y, direction): one step of a drone-less world."""
+    world = world_of([], [(0, x, y, direction, True)])
+    stepped = step_world(world, [], [], bias_degrees=bias_degrees)
+    return stepped.object_x[0], stepped.object_y[0], stepped.object_dir[0]
+
+
 def test_move_object_straight_east():
-    x, y, direction = move_object(5.0, 5.0, 0.0, 0.0, BOUNDS)
+    x, y, direction = move_object(5.0, 5.0, 0.0, 0.0)
     assert x == pytest.approx(6.0)
     assert y == pytest.approx(5.0)
     assert direction == 0.0
 
 
 def test_move_object_bias_rotates_displacement():
-    x, y, _ = move_object(5.0, 5.0, 0.0, 3.0, BOUNDS)
+    x, y, _ = move_object(5.0, 5.0, 0.0, 3.0)
     # cos/sin of 3 degrees, frozen
     assert x - 5.0 == pytest.approx(0.9986295347545738, abs=1e-15)
     assert y - 5.0 == pytest.approx(0.05233595624294383, abs=1e-15)
 
 
 def test_move_object_bias_accumulates_by_default():
-    x, y, direction = move_object(5.0, 5.0, 0.0, 3.0, BOUNDS)
+    x, y, direction = move_object(5.0, 5.0, 0.0, 3.0)
     assert direction == pytest.approx(3.0)
-    assert move_object(x, y, direction, 3.0, BOUNDS)[2] == pytest.approx(6.0)
+    assert move_object(x, y, direction, 3.0)[2] == pytest.approx(6.0)
 
 
 def test_move_object_rejects_unknown_bias_mode():
     # the heading bias always compounds: there is no mode left to choose
     world = make_scene([(0, 1.0, 1.0), (1, 2.0, 2.0)], [(0, 5.0, 5.0, 0.0, True)]).build_world()
     with pytest.raises(TypeError):
-        move_object(5.0, 5.0, 0.0, 3.0, BOUNDS, accumulate=False)
+        step_world(world, [0.5, 0.5], [0.5, 0.5], bias_degrees=3.0, accumulate=False)
     with pytest.raises(TypeError):
         step_world(world, [0.5, 0.5], [0.5, 0.5], bias_degrees=3.0, bias_mode="fixed")
 
 
 def test_move_object_reflects_off_right_wall():
     # raw landing at x=50.5 mirrors back to 49.5 and flips the heading west
-    x, y, direction = move_object(49.5, 5.0, 0.0, 0.0, BOUNDS)
+    x, y, direction = move_object(49.5, 5.0, 0.0, 0.0)
     assert x == pytest.approx(49.5)
     assert y == pytest.approx(5.0)
     assert direction == pytest.approx(180.0)
 
 
 def test_move_object_reflects_off_top_wall():
-    _, y, direction = move_object(5.0, 49.5, 90.0, 0.0, BOUNDS)
+    _, y, direction = move_object(5.0, 49.5, 90.0, 0.0)
     assert y == pytest.approx(49.5)
     assert direction == pytest.approx(270.0)
 
 
 def test_move_object_corner_double_reflection():
-    x, y, direction = move_object(49.9, 49.9, 45.0, 0.0, BOUNDS)
+    x, y, direction = move_object(49.9, 49.9, 45.0, 0.0)
     leg = math.sqrt(2.0) / 2.0
     assert x == pytest.approx(100.0 - (49.9 + leg))
     assert y == pytest.approx(100.0 - (49.9 + leg))
@@ -134,7 +152,7 @@ def test_move_object_corner_double_reflection():
 )
 @settings(max_examples=200, deadline=None)
 def test_move_object_stays_in_bounds(x, y, direction, bias):
-    x, y, direction = move_object(x, y, direction, bias, BOUNDS)
+    x, y, direction = move_object(x, y, direction, bias)
     assert 0.0 <= x <= 50.0
     assert 0.0 <= y <= 50.0
     assert 0.0 <= direction < 360.0 or direction == pytest.approx(360.0)
@@ -142,11 +160,11 @@ def test_move_object_stays_in_bounds(x, y, direction, bias):
 
 
 def test_move_object_long_run_keeps_invariants():
-    x, y, direction = 25.0, 25.0, 37.0
+    world = world_of([], [(0, 25.0, 25.0, 37.0, True)])
     for _ in range(500):
-        x, y, direction = move_object(x, y, direction, 3.0, BOUNDS)
-        assert 0.0 <= x <= 50.0
-        assert 0.0 <= y <= 50.0
+        world = step_world(world, [], [], bias_degrees=3.0)
+        assert 0.0 <= world.object_x[0] <= 50.0
+        assert 0.0 <= world.object_y[0] <= 50.0
 
 
 # ------------------------------------------------------------
@@ -154,19 +172,22 @@ def test_move_object_long_run_keeps_invariants():
 # ------------------------------------------------------------
 
 
-def world_of(drones, objects, **params):
-    return make_scene(drones, objects, **params).build_world()
-
-
 def test_toggle_importance_flips_on_period():
-    assert toggle_importance((True, False), 30, 30) == (False, True)
-    assert toggle_importance((True, False), 60, 30) == (False, True)
+    world = world_of([], [(0, 5.0, 5.0, 0.0, True), (1, 9.0, 9.0, 0.0, False)])
+    for t in range(1, 61):
+        world = step_world(world, [], [])
+        if t == 30:
+            assert world.important == (False, True)
+    assert world.important == (True, False)
 
 
 def test_toggle_importance_leaves_other_steps_alone():
-    flags = (True, False)
-    assert toggle_importance(flags, 0, 30) is flags
-    assert toggle_importance(flags, 31, 30) is flags
+    world = world_of([], [(0, 5.0, 5.0, 0.0, True), (1, 9.0, 9.0, 0.0, False)])
+    for _ in range(31):
+        stepped = step_world(world, [], [])
+        if stepped.time != 30:
+            assert stepped.important is world.important
+        world = stepped
 
 
 def test_coverage_map_boundary_inclusive():
@@ -380,6 +401,18 @@ def test_step_world_matches_object_reference(seed, m, n, k, bias, steps, period)
                  for i in rng.permutation(n)],
         width=30.0, height=30.0, sensing_range=8.0, k=k, importance_period=period,
     )
+    assert_steps_match_reference(scene, seed, steps, bias)
+
+
+@pytest.mark.parametrize("name", [f"scene{i}" for i in range(1, 7)])
+def test_bundled_scenes_step_as_the_object_reference(name):
+    # the benchmark's sizes: up to 15 drones and 20 objects on 50x50
+    assert_steps_match_reference(load_scene(SCENES / f"{name}.json"), 100, 200, 3.0)
+
+
+def assert_steps_match_reference(scene, seed, steps, bias):
+    """Step the columnar world and the object-based reference in lockstep and
+    require every column, the weight bytes and the records to agree."""
     world, ref = scene.build_world(), reference_build_world(scene)
     ids = world.drone_ids
     choice, walk = agent_streams(seed, ids, steps=steps)
