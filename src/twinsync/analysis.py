@@ -5,24 +5,14 @@ from __future__ import annotations
 import warnings
 from typing import Iterable, NamedTuple, Sequence
 
+from .equivalence import CHECKERS, left_sum
+
 
 class SolutionPoint(NamedTuple):
     """One run's outcome: (avg utility deviation, update count), both minimized."""
 
     dev: float
     upd: float
-
-
-def left_sum(values: Iterable[float]) -> float:
-    """Add floats strictly left to right, starting from 0.0.
-
-    Builtin sum() compensates float rounding from Python 3.12 on, so its
-    last bits depend on the interpreter version; output CSVs must not.
-    """
-    total = 0.0
-    for v in values:
-        total += v
-    return total
 
 
 def avg_utility_deviation(u_physical: Sequence[float], u_twin: Sequence[float]) -> float:
@@ -85,44 +75,15 @@ def hypervolume2d(points: Iterable[SolutionPoint]) -> float:
     return total
 
 
-# Per-record payload sizes for the fine-grained comparison, by action kind:
-# follow carries its object id, notify adds the k-1 recipients, respond
-# carries responder and object, a random walk carries nothing.
-_ACTION2_DETAIL = {
-    "follow": lambda k: 1,
-    "notify_and_follow": lambda k: 1 + (k - 1),
-    "respond_and_follow": lambda k: 2,
-    "random_walk": lambda k: 0,
-}
+def comparison_memory_cost(method: str, m: int, n_obj: int, *, k: int | None = None,
+                           step_kinds: tuple[Iterable[str], Iterable[str]] = ((), ())) -> float:
+    """Scalars a checker must retain per step: its row's payload of each world.
 
-
-def comparison_memory_cost(
-    method: str,
-    m: int,
-    n_obj: int,
-    *,
-    k: int | None = None,
-    step_kinds: tuple[Iterable[str], Iterable[str]] | None = None,
-) -> float:
-    """Scalars a checker must retain per step, counting both worlds.
-
-    knowledge: every unordered drone-pair weight, twice (2 * m(m-1)/2).
-    state: object and drone coordinates, twice (2 * 2(m + n_obj)).
-    action: one kind header per drone, twice.
-    action2: headers plus per-kind detail for the step's actual action mix,
-    which is why it needs k and the two worlds' kind sequences.
-    TwinRunConfig checks m >= 2 and n_obj >= 1.
+    `step_kinds` holds the two worlds' action kinds, which only action2's
+    payload reads, with k. TwinRunConfig checks m >= 2 and n_obj >= 1.
     """
-    if method == "knowledge":
-        return float(m * (m - 1))
-    if method == "state":
-        return float(4 * (m + n_obj))
-    if method == "action":
-        return float(2 * m)
-    if method == "action2":
-        total = 0
-        for kinds in step_kinds:
-            for kind in kinds:
-                total += 1 + _ACTION2_DETAIL[kind](k)
-        return float(total)
-    raise ValueError(f"unknown comparison method {method!r}")
+    if method not in CHECKERS:
+        raise ValueError(f"unknown comparison method {method!r}")
+    payload = CHECKERS[method].payload
+    physical, twin = step_kinds
+    return float(payload(m, n_obj, k, physical) + payload(m, n_obj, k, twin))

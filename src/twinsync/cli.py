@@ -27,10 +27,9 @@ from pathlib import Path
 from .analysis import (
     SolutionPoint,
     hypervolume2d,
-    left_sum,
     pareto_front,
 )
-from .equivalence import CHECKER_NAMES
+from .equivalence import CHECKER_NAMES, left_sum
 from .harness import (
     CONDITIONS,
     STRATEGIES,
@@ -52,6 +51,7 @@ from .model import (
     load_scene,
     parameter_violations,
     save_scene,
+    validate_scene,
 )
 
 EXIT_OK = 0
@@ -74,15 +74,11 @@ def generate_scene(params: SceneSpec, n_drones: int, n_objects: int, seed: int) 
     Object headings are drawn from the four axis directions and importance
     is a fair coin. Draw order (drones first, then objects, coordinates
     before attributes) is part of the determinism contract. Parameters are
-    checked before anything is drawn, and every bad one is named.
+    checked before anything is drawn, the drawn scene after; each bad one is named.
     """
     bad = parameter_violations(params)
     if n_drones < 2:  # knowledge is an edge between two drones
         bad.append(f"drones must be >= 2, got {n_drones}")
-    elif params.k > n_drones:
-        bad.append(f"k must be <= the number of drones ({n_drones}), got {params.k}")
-    if n_objects < 1:
-        bad.append(f"objects must be >= 1, got {n_objects}")
     if seed < 0:
         bad.append(f"seed must be >= 0, got {seed}")
     if bad:
@@ -103,7 +99,10 @@ def generate_scene(params: SceneSpec, n_drones: int, n_objects: int, seed: int) 
         )
         for i in range(n_objects)
     )
-    return replace(params, drones=drones, objects=objects)
+    scene = replace(params, drones=drones, objects=objects)
+    if bad := validate_scene(scene):  # a k above the drones, no objects, a huge delta
+        raise ValueError("; ".join(bad))
+    return scene
 
 
 # ============================================================

@@ -2,12 +2,24 @@
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .analysis import left_sum
 from .model import ActionKind, ActionRecord, WorldState
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """Add floats strictly left to right, starting from 0.0.
+
+    Builtin sum() compensates float rounding from Python 3.12 on, so its
+    last bits depend on the interpreter version; output CSVs must not.
+    """
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
 
 # ============================================================
 # Comparison vectors
@@ -152,16 +164,37 @@ def windowed_check(
 # Checker registry
 # ============================================================
 
-# Each checker scores one paired step from the two worlds alone:
-# (physical, twin) -> float. The action checkers read the records each world
-# carries of the step that made it; only the fine-grained one needs the
-# scene's k.
+
+class Checker(NamedTuple):
+    """An equivalence notion: its metric, `(physical, twin) -> float`, and its
+    payload, `(m, n_obj, k, kinds) -> int`, the scalars it keeps of one world
+    of m drones and n_obj objects whose records have those action kinds."""
+
+    metric: Callable[[WorldState, WorldState], float]
+    payload: Callable[[int, int, int, Iterable[str]], int]
+
+
+def _fine_payload(m: int, n_obj: int, k: int, kinds: Iterable[str]) -> int:
+    # a kind header per record plus its detail: any followed object, plus k - 1
+    # recipients or a responder. ActionKind members hash and compare as values.
+    detail = {"follow": 1, "notify_and_follow": k, "respond_and_follow": 2, "random_walk": 0}
+    total = 0
+    for kind in kinds:
+        total += 1 + detail[kind]
+    return total
+
+
+# A metric reads the two worlds alone, the action records they carry included. It
+# looks its functions up at call time, so a name rebound by a tracer sees every call.
 CHECKERS = {
-    "state": lambda p, t: state_deviation(state_vector(p), state_vector(t)),
-    "knowledge": lambda p, t: drift(knowledge_vector(p), knowledge_vector(t)),
-    "action": lambda p, t: coarse_action_deviation(p.actions, t.actions),
-    "action2": lambda p, t: mean_fine_action_deviation(p.actions, t.actions, p.params.k),
+    "state": Checker(lambda p, t: state_deviation(state_vector(p), state_vector(t)),
+                     lambda m, n_obj, k, kinds: 2 * (m + n_obj)),
+    "knowledge": Checker(lambda p, t: drift(knowledge_vector(p), knowledge_vector(t)),
+                         lambda m, n_obj, k, kinds: m * (m - 1) // 2),
+    "action": Checker(lambda p, t: coarse_action_deviation(p.actions, t.actions),
+                      lambda m, n_obj, k, kinds: m),
+    "action2": Checker(
+        lambda p, t: mean_fine_action_deviation(p.actions, t.actions, p.params.k), _fine_payload),
 }
 
 CHECKER_NAMES = tuple(CHECKERS)
-

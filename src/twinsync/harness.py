@@ -239,7 +239,7 @@ def run_paired(config: TwinRunConfig) -> Trace:
     seed under seed divergence.
     """
     threat = CONDITIONS[config.condition]
-    checker = CHECKERS[config.checker]
+    metric = CHECKERS[config.checker].metric
     physical = twin = config.scene.build_world()  # world states are immutable
     m, n_obj = len(physical.drone_ids), len(physical.object_ids)
 
@@ -259,7 +259,7 @@ def run_paired(config: TwinRunConfig) -> Trace:
     cost = 0.0  # running sum of the per-step memory costs, each an integer
 
     for t in range(config.steps):
-        trace.metric_values.append(checker(physical, twin))
+        trace.metric_values.append(metric(physical, twin))
         cost += comparison_memory_cost(
             config.checker, m, n_obj, k=physical.params.k,
             step_kinds=((a.kind for a in physical.actions),

@@ -183,11 +183,13 @@ _JSON_TYPES = {
 _POSITIVE = ("must be positive and finite", lambda v: v > 0 and math.isfinite(v))
 _AT_LEAST_1 = ("must be >= 1", lambda v: v >= 1)
 _UNIT_OPEN = ("must lie in (0, 1)", lambda v: 0.0 < v < 1.0)
+# at least 1, so an object's unit step needs at most one reflection off a wall
+_ARENA_SIDE = ("must be finite and >= 1", lambda v: 1.0 <= v < math.inf)
 # The world parameters in file order: (JSON key, SceneSpec field, JSON type,
 # rule as (message, test)). Scene I/O, parameter checks and gen-scene read it.
 SCENE_PARAMETERS = (
-    ("width", "width", NUMBER, _POSITIVE),
-    ("height", "height", NUMBER, _POSITIVE),
+    ("width", "width", NUMBER, _ARENA_SIDE),
+    ("height", "height", NUMBER, _ARENA_SIDE),
     ("k", "k", INTEGER, _AT_LEAST_1),
     ("range", "sensing_range", NUMBER, _POSITIVE),
     ("gamma", "gamma", NUMBER, _UNIT_OPEN),
@@ -272,6 +274,13 @@ def validate_scene(scene: SceneSpec) -> list[str]:
     Every violation names the offending entity or parameter.
     """
     bad = parameter_violations(scene)
+    # weights stay under delta * n / (1 - gamma); a knowledge gap past float
+    # range reads NaN, and NaN > theta is false for every theta
+    bound = 0.0 if bad else scene.delta * len(scene.objects) / (1.0 - scene.gamma)
+    m = len(scene.drones)
+    if not math.isfinite(bound * bound * m * (m - 1) / 2):
+        bad.append("delta must keep (delta * objects / (1 - gamma))^2 * m(m - 1)/2 "
+                   f"finite, got {scene.delta}")
     if not scene.drones:
         bad.append("scene has no drones")
     elif len(scene.drones) < 2:  # knowledge is an edge between two drones

@@ -94,16 +94,14 @@ def step_world(
         x += cos
         y += sin
         if not (0.0 <= x <= width and 0.0 <= y <= height):
-            flip_x = flip_y = False
-            while x < 0.0 or x > width:
+            # scenes are at least 1 wide and high, so one reflection lands inside
+            flip_x, flip_y = not 0.0 <= x <= width, not 0.0 <= y <= height
+            if flip_x:
                 x = -x if x < 0.0 else 2.0 * width - x
-                flip_x = not flip_x
-            while y < 0.0 or y > height:
+            if flip_y:
                 y = -y if y < 0.0 else 2.0 * height - y
-                flip_y = not flip_y
-            if flip_x or flip_y:
-                heading = math.degrees(math.atan2(-sin if flip_y else sin,
-                                                  -cos if flip_x else cos))
+            heading = math.degrees(math.atan2(-sin if flip_y else sin,
+                                              -cos if flip_x else cos))
         object_x.append(x)
         object_y.append(y)
         object_dir.append(heading % 360.0)

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twinsync.analysis import (
-    _ACTION2_DETAIL,
     SolutionPoint,
     avg_utility_deviation,
     comparison_memory_cost,
@@ -198,5 +197,6 @@ def test_memory_cost_validates():
 
 
 def test_action2_detail_prices_every_action_kind():
-    # records carry only ActionKind values, so no unknown kind reaches the table
-    assert set(_ACTION2_DETAIL) == {kind.value for kind in ActionKind}
+    # records carry only ActionKind values, so no unknown kind reaches the payload
+    for kind in ActionKind:
+        assert comparison_memory_cost("action2", 2, 5, k=2, step_kinds=([kind], ())) >= 1.0

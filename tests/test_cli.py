@@ -704,11 +704,13 @@ def test_pareto_rejects_missing_columns(tmp_path, capsys):
 @pytest.mark.parametrize("flag,value,field", [
     ("--drones", "1", "drones"),
     ("--width", "-5", "width"),
+    ("--width", "0.5", "width"),  # an object's unit step could cross the arena
     ("--height", "0", "height"),
     ("--k", "0", "k"),
     ("--range", "-2", "range"),
     ("--gamma", "1.5", "gamma"),
     ("--delta", "0", "delta"),
+    ("--delta", "1e308", "delta"),  # the weights would overflow to inf
     ("--importance-period", "0", "importance_period"),
     ("--k", "4", "k"),  # above --drones: no object could ever be k-covered
 ])
@@ -719,6 +721,21 @@ def test_gen_scene_rejects_bad_parameter_and_writes_nothing(tmp_path, capsys, fl
     assert rc == 1
     assert f"{field} must" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_a_delta_inside_the_overflow_rule_keeps_every_metric_finite(tmp_path):
+    # the largest weights square to about 1e300 here, inside float range, so
+    # theta = -1 still updates at every check
+    scene, trace = tmp_path / "big.json", tmp_path / "t.csv"
+    assert main(["gen-scene", "--drones", "5", "--objects", "10", "--seed", "7",
+                 "--delta", "1e150", "--out", str(scene)]) == 0
+    assert main(["run", "--scene", str(scene), "--condition", "I", "--checker", "knowledge",
+                 "--theta", "-1", "--steps", "50", "--trace", str(trace),
+                 "--summary", str(tmp_path / "s.csv")]) == 0
+    rows = list(csv.DictReader(trace.open()))
+    assert len(rows) == 50
+    assert all(math.isfinite(float(row["metric_value"])) for row in rows)
+    assert all(row["updated"] == "1" for row in rows)
 
 
 def test_gen_scene_names_every_bad_parameter(tmp_path, capsys):

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twinsync import equivalence
+from twinsync.analysis import comparison_memory_cost
 from twinsync.equivalence import (
     CHECKER_NAMES,
     CHECKERS,
@@ -365,22 +367,22 @@ def test_checker_payloads_and_metrics_wire_up():
     other = dataclasses.replace(world, actions=(walk(), follow(1)))
     moved = dataclasses.replace(world, object_x=(8.0,), object_y=(9.0,))
 
-    state = CHECKERS["state"]
+    state = CHECKERS["state"].metric
     assert state(world, other) == 0.0
     assert state(world, moved) == state_deviation(
         state_vector(world), state_vector(moved)) == 5.0
 
-    knowledge = CHECKERS["knowledge"]
+    knowledge = CHECKERS["knowledge"].metric
     assert knowledge(world, dataclasses.replace(moved, actions=other.actions)) == 0.0
     weighted, bare = world_with_weights({(0, 1): 2.5}), world_with_weights({})
     assert knowledge(weighted, bare) == drift(
         knowledge_vector(weighted), knowledge_vector(bare)) == 2.5
 
-    action = CHECKERS["action"]
+    action = CHECKERS["action"].metric
     assert action(world, moved) == 0.0
     assert action(world, other) == 0.5
 
-    action2 = CHECKERS["action2"]
+    action2 = CHECKERS["action2"].metric
     assert action2(world, moved) == 0.0
     assert action2(world, other) == 0.5
     # the fine comparison reads k from the scene: one shared recipient of
@@ -390,3 +392,46 @@ def test_checker_payloads_and_metrics_wire_up():
     other_notify = dataclasses.replace(k3, actions=(notify(0, {1, 3}), walk()))
     assert action2(k3, other_notify) == mean_fine_action_deviation(
         k3.actions, other_notify.actions, 3) == 0.125
+
+
+# The metric functions each checker's metric must reach, looked up by name.
+METRIC_FUNCTIONS = {
+    "state": "state_deviation",
+    "knowledge": "drift",
+    "action": "coarse_action_deviation",
+    "action2": "mean_fine_action_deviation",
+}
+
+
+@pytest.mark.parametrize("name", CHECKER_NAMES)
+def test_checker_metric_reaches_the_module_function(name, monkeypatch):
+    # a row that held the function itself would go around any rebinding of
+    # the module name, and a tracer counting metric calls would read 0
+    original = getattr(equivalence, METRIC_FUNCTIONS[name])
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(equivalence, METRIC_FUNCTIONS[name], counted)
+    world = world_with_weights({(0, 1): 1.0})
+    world = dataclasses.replace(world, actions=(follow(0), walk(), walk()))
+    CHECKERS[name].metric(world, world)
+    assert len(calls) == 1
+
+
+def test_action2_payload_prices_kinds_and_their_values_alike():
+    # paired runs price ActionKind members, callers may pass their string values
+    payload = CHECKERS["action2"].payload
+    for kind in ActionKind:
+        assert payload(3, 2, 3, [kind]) == payload(3, 2, 3, [kind.value]) >= 1
+    kinds = list(ActionKind)
+    assert payload(3, 2, 3, kinds) == payload(3, 2, 3, [kind.value for kind in kinds]) == 10
+
+
+@pytest.mark.parametrize("name", CHECKER_NAMES)
+def test_memory_cost_without_kinds_is_two_worlds_of_payload(name):
+    for m, n_obj in ((2, 1), (5, 10), (15, 20)):
+        one_world = CHECKERS[name].payload(m, n_obj, 2, ())
+        assert comparison_memory_cost(name, m, n_obj) == 2 * one_world

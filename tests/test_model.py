@@ -157,8 +157,8 @@ def test_validate_reports_parameter_violations():
 
 # A bad value per world parameter, by JSON key, and the message it must get.
 BROKEN_PARAMETERS = {
-    "width": (0.0, "width must be positive and finite, got 0.0"),
-    "height": (math.inf, "height must be positive and finite, got inf"),
+    "width": (0.0, "width must be finite and >= 1, got 0.0"),
+    "height": (math.inf, "height must be finite and >= 1, got inf"),
     "k": (0, "k must be >= 1, got 0"),
     "range": (-1.0, "range must be positive and finite, got -1.0"),
     "gamma": (1.0, "gamma must lie in (0, 1), got 1.0"),
@@ -173,6 +173,17 @@ def test_each_parameter_broken_alone_is_named_by_its_key(key, field):
     value, message = BROKEN_PARAMETERS[key]
     assert parameter_violations(SCENE) == []
     assert parameter_violations(dataclasses.replace(SCENE, **{field: value})) == [message]
+
+
+def test_validate_rejects_a_delta_whose_knowledge_gap_overflows():
+    # weights stay under delta * n / (1 - gamma); once the squared knowledge
+    # gap over m(m - 1)/2 edges leaves float range, the metric reads NaN
+    assert validate_scene(dataclasses.replace(SCENE, delta=1e150)) == []
+    assert validate_scene(dataclasses.replace(SCENE, delta=1e308)) == [
+        "delta must keep (delta * objects / (1 - gamma))^2 * m(m - 1)/2 finite, got 1e+308"]
+    # the rule is read only when every parameter holds, so 1 - gamma is never 0
+    assert validate_scene(dataclasses.replace(SCENE, gamma=1.0, delta=1e308)) == [
+        "gamma must lie in (0, 1), got 1.0"]
 
 
 def test_validate_rejects_a_one_drone_scene(tmp_path):

@@ -159,6 +159,21 @@ def test_move_object_stays_in_bounds(x, y, direction, bias):
     assert math.isfinite(direction)
 
 
+@given(
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
+    st.floats(-1e4, 1e4),
+    st.floats(-10.0, 10.0),
+)
+@settings(max_examples=200, deadline=None)
+def test_move_object_in_the_narrowest_arena_stays_in_bounds(x, y, direction, bias):
+    # scenes are at least 1 wide and high, so one reflection per axis lands inside
+    world = world_of([], [(0, x, y, direction, True)], width=1.0, height=1.0)
+    stepped = step_world(world, [], [], bias_degrees=bias)
+    assert 0.0 <= stepped.object_x[0] <= 1.0
+    assert 0.0 <= stepped.object_y[0] <= 1.0
+
+
 def test_move_object_long_run_keeps_invariants():
     world = world_of([], [(0, 25.0, 25.0, 37.0, True)])
     for _ in range(500):
