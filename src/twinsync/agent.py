@@ -6,7 +6,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import ActionKind, ActionRecord, Request, WorldState, read_only
+from .model import (FOLLOW, NOTIFY_AND_FOLLOW, RANDOM_WALK, RESPOND_AND_FOLLOW, ActionRecord,
+                    Request, WorldState, read_only)
 
 # Movement budget per action kind, in world units per step.
 FOLLOW_DISTANCE = 1.0
@@ -56,7 +57,7 @@ def select_response(inbox: Sequence[Request], row: Sequence[float]) -> Request |
 
 
 # A random walk reads nothing of the world, so every walk shares one decision.
-_RANDOM_WALK = (ActionRecord(ActionKind.RANDOM_WALK), None, ())
+_RANDOM_WALK = (ActionRecord(RANDOM_WALK), None, ())
 
 
 def decide(
@@ -77,18 +78,14 @@ def decide(
         target = (world.object_x[j], world.object_y[j], FOLLOW_DISTANCE)
         k = world.params.k
         if world.coverage[j] >= k:  # drone i counts itself
-            return ActionRecord(ActionKind.FOLLOW, world.object_ids[j]), target, ()
+            return ActionRecord(FOLLOW, j), target, ()
         notify = select_notify_targets(world.weights[i].tolist(), i, k)
-        ids = world.drone_ids
-        notified = frozenset(ids[n] for n in notify)
-        action = ActionRecord(ActionKind.NOTIFY_AND_FOLLOW, world.object_ids[j], notified)
-        return action, target, notify
+        return ActionRecord(NOTIFY_AND_FOLLOW, j, frozenset(notify)), target, notify
 
     inbox = world.inbox[i]
     if inbox:
-        sender, object_id, x, y = select_response(inbox, world.weights[i].tolist())
-        action = ActionRecord(ActionKind.RESPOND_AND_FOLLOW, object_id, frozenset(),
-                              world.drone_ids[sender])
+        sender, j, x, y = select_response(inbox, world.weights[i].tolist())
+        action = ActionRecord(RESPOND_AND_FOLLOW, j, frozenset(), sender)
         return action, (x, y, RESPOND_DISTANCE), ()
     return _RANDOM_WALK
 

@@ -77,8 +77,6 @@ def generate_scene(params: SceneSpec, n_drones: int, n_objects: int, seed: int) 
     checked before anything is drawn, the drawn scene after; each bad one is named.
     """
     bad = parameter_violations(params)
-    if n_drones < 2:  # knowledge is an edge between two drones
-        bad.append(f"drones must be >= 2, got {n_drones}")
     if seed < 0:
         bad.append(f"seed must be >= 0, got {seed}")
     if bad:
@@ -100,7 +98,7 @@ def generate_scene(params: SceneSpec, n_drones: int, n_objects: int, seed: int) 
         for i in range(n_objects)
     )
     scene = replace(params, drones=drones, objects=objects)
-    if bad := validate_scene(scene):  # a k above the drones, no objects, a huge delta
+    if bad := validate_scene(scene):  # under two drones, no objects, a big k or delta
         raise ValueError("; ".join(bad))
     return scene
 

@@ -6,7 +6,8 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .model import ActionKind, ActionRecord, WorldState
+from .model import (FOLLOW, NOTIFY_AND_FOLLOW, RANDOM_WALK, RESPOND_AND_FOLLOW, ActionRecord,
+                    WorldState)
 
 
 def left_sum(values: Iterable[float]) -> float:
@@ -27,19 +28,19 @@ def left_sum(values: Iterable[float]) -> float:
 
 
 def knowledge_vector(world: WorldState) -> np.ndarray:
-    """Every unordered drone pair's edge weight, pairs in lexicographic id order.
+    """Every unordered drone pair's edge weight, pairs in lexicographic drone order.
 
     The weight matrix is symmetric by construction, so its upper triangle,
     read in row order, holds each edge once.
     """
-    order = np.arange(len(world.drone_ids))
+    order = np.arange(len(world.drone_x))
     return world.weights[order[:, None] < order]
 
 
 def state_vector(world: WorldState) -> np.ndarray:
-    """Concatenate object coordinates then drone coordinates, x then y, ascending ids."""
-    n = len(world.object_ids)
-    coords = np.empty(2 * (n + len(world.drone_ids)))
+    """Concatenate object coordinates then drone coordinates, x then y, in entity order."""
+    n = len(world.object_x)
+    coords = np.empty(2 * (n + len(world.drone_x)))
     coords[0:2 * n:2] = world.object_x
     coords[1:2 * n:2] = world.object_y
     coords[2 * n::2] = world.drone_x
@@ -78,42 +79,42 @@ def coarse_action_deviation(
     Both worlds hold one record per drone in drone order, so records pair up
     by position; sequences of different lengths raise ValueError.
     """
-    differ = sum(1 for a, b in zip(physical, twin, strict=True) if a.kind is not b.kind)
+    differ = sum(1 for a, b in zip(physical, twin, strict=True) if a.kind != b.kind)
     return differ / len(physical) if physical else 0.0
 
 
 def fine_action_deviation(physical: ActionRecord, twin: ActionRecord, k: int) -> float:
     """Graded dissimilarity of one drone's action pair, in [0, 1].
 
-    Same-kind pairs compare their details: followed object, responder
-    identity, and the overlap of notified sets (scaled by the k-1 fan-out).
+    Same-kind pairs compare their details: followed object, responder, and
+    the overlap of notified sets (scaled by the k-1 fan-out).
     A follow against a notify-and-follow costs 0.5 plus 0.5 if the objects
     differ; any other kind mismatch costs 1. Notify records exist only at
     k >= 2: a drone notifies about an object it has in range and that is not
     k-covered, so at k = 1 none does.
     """
-    pk, tk = physical.kind, twin.kind
-
-    if pk is ActionKind.RANDOM_WALK and tk is ActionKind.RANDOM_WALK:
+    kind = physical.kind
+    if kind != twin.kind:
+        if (kind in (FOLLOW, NOTIFY_AND_FOLLOW) and twin.kind in (FOLLOW, NOTIFY_AND_FOLLOW)
+                and physical.followed_object == twin.followed_object):
+            return 0.5
+        return 1.0
+    if kind == RANDOM_WALK:
         return 0.0
-    if pk is ActionKind.FOLLOW and tk is ActionKind.FOLLOW:
+    if kind == FOLLOW:
         return 0.0 if physical.followed_object == twin.followed_object else 1.0
-    if pk is ActionKind.RESPOND_AND_FOLLOW and tk is ActionKind.RESPOND_AND_FOLLOW:
+    if kind == RESPOND_AND_FOLLOW:
         cost = 0.4
         if physical.responded_to == twin.responded_to:
             cost -= 0.2
         if physical.followed_object == twin.followed_object:
             cost -= 0.2
         return cost
-    if pk is ActionKind.NOTIFY_AND_FOLLOW and tk is ActionKind.NOTIFY_AND_FOLLOW:
-        common = len(physical.notified_drones & twin.notified_drones)
-        cost = 0.5 * (1.0 - common / (k - 1))
-        if physical.followed_object != twin.followed_object:
-            cost += 0.5
-        return cost
-    if {pk, tk} == {ActionKind.FOLLOW, ActionKind.NOTIFY_AND_FOLLOW}:
-        return 0.5 if physical.followed_object == twin.followed_object else 1.0
-    return 1.0
+    common = len(physical.notified_drones & twin.notified_drones)  # both notify
+    cost = 0.5 * (1.0 - common / (k - 1))
+    if physical.followed_object != twin.followed_object:
+        cost += 0.5
+    return cost
 
 
 def mean_fine_action_deviation(
@@ -176,8 +177,8 @@ class Checker(NamedTuple):
 
 def _fine_payload(m: int, n_obj: int, k: int, kinds: Iterable[str]) -> int:
     # a kind header per record plus its detail: any followed object, plus k - 1
-    # recipients or a responder. ActionKind members hash and compare as values.
-    detail = {"follow": 1, "notify_and_follow": k, "respond_and_follow": 2, "random_walk": 0}
+    # recipients or a responder
+    detail = {FOLLOW: 1, NOTIFY_AND_FOLLOW: k, RESPOND_AND_FOLLOW: 2, RANDOM_WALK: 0}
     total = 0
     for kind in kinds:
         total += 1 + detail[kind]

@@ -38,7 +38,7 @@ CHANNEL_WALK = 1
 
 def agent_streams(
     seed: int,
-    drone_ids: Iterable[int],
+    ids: Iterable[int],
     salt: tuple[int, ...] = (),
     *,
     steps: int,
@@ -46,13 +46,14 @@ def agent_streams(
 ) -> tuple[np.ndarray, ...]:
     """Pre-drawn tapes, one (steps, m) float64 array per channel asked for.
 
-    Column c of a tape holds the first `steps` uniforms of drone
-    `drone_ids[c]`'s private stream for that channel, so row t is what the
-    fleet draws at its t-th step. By default both tapes come back, choice
-    then walk; a twin under seed divergence asks for its choice tape alone
-    and shares its physical counterpart's walk tape.
+    Column c of a tape holds the first `steps` uniforms of the private stream
+    of the drone whose id is `ids[c]`, for that channel, so row t is what the
+    fleet draws at its t-th step. Streams are keyed by drone id, never by
+    position. By default both tapes come back, choice then walk; a twin under
+    seed divergence asks for its choice tape alone and shares its physical
+    counterpart's walk tape.
     """
-    ids = list(drone_ids)
+    ids = list(ids)
     tapes = tuple(np.empty((steps, len(ids))) for _ in channels)
     for tape, channel in zip(tapes, channels):
         for c, i in enumerate(ids):
@@ -241,9 +242,9 @@ def run_paired(config: TwinRunConfig) -> Trace:
     threat = CONDITIONS[config.condition]
     metric = CHECKERS[config.checker].metric
     physical = twin = config.scene.build_world()  # world states are immutable
-    m, n_obj = len(physical.drone_ids), len(physical.object_ids)
+    m, n_obj = len(physical.drone_x), len(physical.object_x)
 
-    ids = physical.drone_ids
+    ids = sorted(d.id for d in config.scene.drones)
     phys_choice, walk = agent_streams(config.seed, ids, steps=config.steps)
     if threat.divergent_seeds:
         # Only the choice channel diverges; the walk tape is shared so a
@@ -364,9 +365,9 @@ def run_strategy_study(config: StrategyStudyConfig) -> StrategyStudyResult:
 
     deviations: dict[str, list[float]] = {s: [] for s in STRATEGIES}
 
+    ids = sorted(d.id for d in config.scene.drones)
     for rep in range(config.repeats):
         physical = config.scene.build_world()
-        ids = physical.drone_ids
         choice, walk = agent_streams(config.seed, ids, salt=(rep,), steps=run_to)
         if threat.divergent_seeds:
             # every clone's choice channel restarts on the divergent seed

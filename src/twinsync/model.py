@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 from typing import NamedTuple
 
@@ -16,21 +15,22 @@ import numpy as np
 # ============================================================
 
 
-class ActionKind(str, Enum):
-    FOLLOW = "follow"
-    NOTIFY_AND_FOLLOW = "notify_and_follow"
-    RESPOND_AND_FOLLOW = "respond_and_follow"
-    RANDOM_WALK = "random_walk"
+# The action kinds, by name.
+FOLLOW = "follow"
+NOTIFY_AND_FOLLOW = "notify_and_follow"
+RESPOND_AND_FOLLOW = "respond_and_follow"
+RANDOM_WALK = "random_walk"
 
 
 class ActionRecord(NamedTuple):
     """What one drone did in one step, in categorised form.
 
     A world holds one record per drone, in drone order, so a record's drone
-    is its position in `WorldState.actions`.
+    is its position in `WorldState.actions`. Objects and drones are named by
+    position too.
     """
 
-    kind: ActionKind
+    kind: str
     followed_object: int | None = None
     notified_drones: frozenset[int] = frozenset()
     responded_to: int | None = None
@@ -47,9 +47,9 @@ def read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-# A help request as its recipient holds it: (sender index, object id, x, y),
-# the advertised object's position when it was sent. Requests arrive the step
-# after sending and expire one step later.
+# A help request as its recipient holds it: (sender, object, x, y), sender and
+# object by position, with the advertised object's position when it was sent.
+# Requests arrive the step after sending and expire one step later.
 Request = tuple[int, int, float, float]
 
 
@@ -57,10 +57,10 @@ Request = tuple[int, int, float, float]
 class WorldState:
     """Full simulation state at one instant, as flat per-entity columns.
 
-    Object columns (`object_ids`, `object_x`, `object_y`, `object_dir` in
-    degrees, `important`) and drone columns (`drone_ids`, `drone_x`,
-    `drone_y`, `inbox`) are tuples of Python scalars in ascending id order;
-    `inbox[i]` holds drone i's requests in sender order.
+    Object columns (`object_x`, `object_y`, `object_dir` in degrees,
+    `important`) and drone columns (`drone_x`, `drone_y`, `inbox`) are tuples
+    of Python scalars in ascending id order, so an entity is named by its
+    position; `inbox[i]` holds drone i's requests in sender order.
 
     `weights` is the fleet's interaction knowledge: one read-only, symmetric
     (m, m) matrix of pheromone edge weights, rows and columns in drone order,
@@ -74,12 +74,10 @@ class WorldState:
     """
 
     time: int
-    object_ids: tuple[int, ...]
     object_x: tuple[float, ...]
     object_y: tuple[float, ...]
     object_dir: tuple[float, ...]
     important: tuple[bool, ...]
-    drone_ids: tuple[int, ...]
     drone_x: tuple[float, ...]
     drone_y: tuple[float, ...]
     inbox: tuple[tuple[Request, ...], ...]
@@ -141,12 +139,10 @@ class SceneSpec:
             drone_x, drone_y, object_x, object_y, self.sensing_range)
         return WorldState(
             time=0,
-            object_ids=tuple(o.id for o in objects),
             object_x=object_x,
             object_y=object_y,
             object_dir=tuple(float(o.direction) for o in objects),
             important=tuple(bool(o.important) for o in objects),
-            drone_ids=tuple(d.id for d in drones),
             drone_x=drone_x,
             drone_y=drone_y,
             inbox=((),) * len(drones),
@@ -183,8 +179,10 @@ _JSON_TYPES = {
 _POSITIVE = ("must be positive and finite", lambda v: v > 0 and math.isfinite(v))
 _AT_LEAST_1 = ("must be >= 1", lambda v: v >= 1)
 _UNIT_OPEN = ("must lie in (0, 1)", lambda v: 0.0 < v < 1.0)
-# at least 1, so an object's unit step needs at most one reflection off a wall
-_ARENA_SIDE = ("must be finite and >= 1", lambda v: 1.0 <= v < math.inf)
+# At least 1, so an object's unit step needs at most one reflection off a wall.
+# At most 2**51, where a float's spacing is at most 0.5: a unit step's larger
+# component is at least sqrt(1/2), so every step moves an entity.
+_ARENA_SIDE = ("must lie in [1, 2**51]", lambda v: 1.0 <= v <= 2.0**51)
 # The world parameters in file order: (JSON key, SceneSpec field, JSON type,
 # rule as (message, test)). Scene I/O, parameter checks and gen-scene read it.
 SCENE_PARAMETERS = (

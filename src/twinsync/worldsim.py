@@ -17,7 +17,7 @@ def coverage_map(world: WorldState) -> tuple[int, ...]:
 def utility_k(world: WorldState) -> float:
     """Fraction of all objects covered by at least the scene's k drones."""
     k = world.params.k
-    return sum(1 for count in coverage_map(world) if count >= k) / len(world.object_ids)
+    return sum(1 for count in coverage_map(world) if count >= k) / len(world.object_x)
 
 
 def step_world(
@@ -46,7 +46,7 @@ def step_world(
     width, height = params.bounds
     important = world.important
 
-    sensed: list[list[int]] = [[] for _ in world.drone_ids]
+    sensed: list[list[int]] = [[] for _ in world.drone_x]
     rows, cols = world.in_range.nonzero()  # row-major: ascending object index per drone
     for i, j in zip(rows.tolist(), cols.tolist()):
         if important[j]:
@@ -69,7 +69,7 @@ def step_world(
             tx, ty, budget = target
             for recipient in notify:
                 if inbox is None:
-                    inbox = [[] for _ in world.drone_ids]
+                    inbox = [[] for _ in world.drone_x]
                 inbox[recipient].append((i, action.followed_object, tx, ty))
             dx, dy = tx - x, ty - y
             gap = math.hypot(dx, dy)  # numpy's hypot differs from math's in the last bits
@@ -113,12 +113,10 @@ def step_world(
         drone_x, drone_y, object_x, object_y, params.sensing_range)
     return WorldState(
         time,
-        world.object_ids,
         tuple(object_x),
         tuple(object_y),
         tuple(object_dir),
         important,
-        world.drone_ids,
         tuple(drone_x),
         tuple(drone_y),
         tuple(map(tuple, inbox)) if inbox else ((),) * len(drone_x),

@@ -75,16 +75,16 @@ def random_fronts(seed: int, count: int, max_points: int = 8):
 
 
 def reference_co_cover(world, sensing_range):
-    """Per drone id, the sorted (other drone id, object id) pairs it shares."""
+    """Per drone, the sorted (other drone, object) pairs it shares, all by position."""
     dpos = np.column_stack((world.drone_x, world.drone_y))
     opos = np.column_stack((world.object_x, world.object_y))
     diff = dpos[:, None, :] - opos[None, :, :]
     dist = np.hypot(diff[:, :, 0], diff[:, :, 1])
-    covered_by = {oid: [] for oid in world.object_ids}
-    sensed = {did: [] for did in world.drone_ids}
+    covered_by = {oj: [] for oj in range(len(world.object_x))}
+    sensed = {di: [] for di in range(len(world.drone_x))}
     for di, oj in zip(*np.nonzero(dist <= sensing_range)):
-        covered_by[world.object_ids[oj]].append(world.drone_ids[di])
-        sensed[world.drone_ids[di]].append(world.object_ids[oj])
+        covered_by[oj].append(di)
+        sensed[di].append(oj)
     return {
         me: sorted((other, oid) for oid in oids for other in covered_by[oid] if other != me)
         for me, oids in sensed.items()
@@ -122,7 +122,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
-from twinsync.model import ActionKind
+from twinsync.model import FOLLOW, NOTIFY_AND_FOLLOW, RANDOM_WALK, RESPOND_AND_FOLLOW
 
 
 class RefVec2(NamedTuple):
@@ -155,7 +155,7 @@ class RefDrone:
 @dataclass(frozen=True)
 class RefAction:
     drone_id: int
-    kind: ActionKind
+    kind: str
     followed_object: int | None = None
     notified_drones: frozenset = frozenset()
     responded_to: int | None = None
@@ -268,18 +268,18 @@ def _ref_decide(drone, time, sensed, row, ids, choice, walk, k):
             others.sort(key=lambda j: -row[j])
             targets = frozenset(ids[j] for j in others[: max(0, k - 1)])
             msg = RefMessage(me, obj.id, obj.position, time)
-            action = RefAction(me, ActionKind.NOTIFY_AND_FOLLOW, followed_object=obj.id,
+            action = RefAction(me, NOTIFY_AND_FOLLOW, followed_object=obj.id,
                                notified_drones=targets)
             return action, obj.position, None, 1.0, tuple((t, msg) for t in sorted(targets))
-        return RefAction(me, ActionKind.FOLLOW, followed_object=obj.id), obj.position, \
+        return RefAction(me, FOLLOW, followed_object=obj.id), obj.position, \
             None, 1.0, ()
     if drone.inbox:
         request = min(drone.inbox, key=lambda m: (-row[ids.index(m.sender_id)], m.sender_id))
-        action = RefAction(me, ActionKind.RESPOND_AND_FOLLOW,
+        action = RefAction(me, RESPOND_AND_FOLLOW,
                            followed_object=request.object_id,
                            responded_to=request.sender_id)
         return action, request.object_position, None, 2.0, ()
-    return RefAction(me, ActionKind.RANDOM_WALK), None, walk * 360.0, 5.0, ()
+    return RefAction(me, RANDOM_WALK), None, walk * 360.0, 5.0, ()
 
 
 def reference_step(world, rngs, bias_degrees=0.0):

@@ -19,7 +19,7 @@ from twinsync.agent import (
 )
 from twinsync.equivalence import knowledge_vector
 from twinsync.harness import agent_streams
-from twinsync.model import ActionKind, read_only
+from twinsync.model import FOLLOW, NOTIFY_AND_FOLLOW, RANDOM_WALK, RESPOND_AND_FOLLOW, read_only
 from twinsync.worldsim import coverage_map, step_world
 
 from helpers import (
@@ -45,7 +45,7 @@ def sense(world, sensing_range=10.0):
 
 def first_step(world, seed):
     """The actions of one step on the first row of the seed's tapes."""
-    choice, walk = agent_streams(seed, world.drone_ids, steps=1)
+    choice, walk = agent_streams(seed, sorted(d.id for d in world.params.drones), steps=1)
     return step_world(world, choice[0].tolist(), walk[0].tolist()).actions
 
 
@@ -190,7 +190,8 @@ def test_select_response_breaks_ties_by_lowest_id():
 
 def decide_world(coverage=(1, 1), inbox=(), row=ZERO_ROW):
     """Drone 0 of a three-drone fleet (ids 0-2) next to objects 4 at (3, 0)
-    and 6 at (0, 2), with the given coverage counts, inbox and weight row."""
+    and 6 at (0, 2), at positions 0 and 1, with the given coverage counts,
+    inbox and weight row."""
     scene = make_scene(
         drones=[(0, 0.0, 0.0), (1, 40.0, 40.0), (2, 45.0, 45.0)],
         objects=[(4, 3.0, 0.0, 0.0, True), (6, 0.0, 2.0, 0.0, True)],
@@ -206,8 +207,8 @@ def decide_of(sensed=(), choice=0.0, **world):
 
 def test_decide_notifies_when_not_k_covered():
     action, target, notify = decide_of(sensed=[0], coverage=(1, 1), row=(0.0, 0.0, 1.0))
-    assert action.kind is ActionKind.NOTIFY_AND_FOLLOW
-    assert action.followed_object == 4
+    assert action.kind == NOTIFY_AND_FOLLOW
+    assert action.followed_object == 0  # object 4, by position
     assert action.notified_drones == {2}
     assert target == (3.0, 0.0, FOLLOW_DISTANCE)
     assert notify == [2]
@@ -215,8 +216,8 @@ def test_decide_notifies_when_not_k_covered():
 
 def test_decide_follows_when_already_k_covered():
     action, target, notify = decide_of(sensed=[0], coverage=(2, 1))
-    assert action.kind is ActionKind.FOLLOW
-    assert action.followed_object == 4
+    assert action.kind == FOLLOW
+    assert action.followed_object == 0
     assert action.notified_drones == frozenset()
     assert notify == ()
     assert target == (3.0, 0.0, FOLLOW_DISTANCE)
@@ -227,26 +228,26 @@ def test_decide_ignores_unimportant_objects():
     scene = make_scene(drones=[(0, 25.0, 25.0)], objects=[(4, 28.0, 25.0, 0.0, False)])
     world = scene.build_world()
     assert world.in_range.tolist() == [[True]]
-    assert first_step(world, 0)[0].kind is ActionKind.RANDOM_WALK
+    assert first_step(world, 0)[0].kind == RANDOM_WALK
 
 
 def test_decide_responds_to_best_request():
-    action, target, notify = decide_of(inbox=[(1, 7, 9.0, 9.0)])
-    assert action.kind is ActionKind.RESPOND_AND_FOLLOW
+    action, target, notify = decide_of(inbox=[(1, 1, 9.0, 9.0)])
+    assert action.kind == RESPOND_AND_FOLLOW
     assert action.responded_to == 1
-    assert action.followed_object == 7
+    assert action.followed_object == 1
     assert target == (9.0, 9.0, RESPOND_DISTANCE)
     assert notify == ()
 
 
 def test_decide_important_object_outranks_inbox():
-    action, _, _ = decide_of(sensed=[0], coverage=(2, 2), inbox=[(1, 7, 9.0, 9.0)])
-    assert action.kind is ActionKind.FOLLOW
+    action, _, _ = decide_of(sensed=[0], coverage=(2, 2), inbox=[(1, 1, 9.0, 9.0)])
+    assert action.kind == FOLLOW
 
 
 def test_decide_random_walk_when_idle():
     action, target, notify = decide_of()
-    assert action.kind is ActionKind.RANDOM_WALK
+    assert action.kind == RANDOM_WALK
     assert target is None  # step_world turns the walk draw into a heading
     assert notify == ()
     assert action.followed_object is None
@@ -256,8 +257,8 @@ def test_decide_random_walk_when_idle():
 
 def test_decide_choice_draw_maps_uniformly_onto_pick():
     sensed = [0, 1]
-    assert decide_of(sensed=sensed, coverage=(2, 2), choice=0.49)[0].followed_object == 4
-    assert decide_of(sensed=sensed, coverage=(2, 2), choice=0.5)[0].followed_object == 6
+    assert decide_of(sensed=sensed, coverage=(2, 2), choice=0.49)[0].followed_object == 0
+    assert decide_of(sensed=sensed, coverage=(2, 2), choice=0.5)[0].followed_object == 1
 
 
 def test_decide_is_pure_given_draws():
@@ -275,7 +276,7 @@ def test_decide_picks_only_important_in_range_objects(seed, n_important):
     scene = make_scene(drones=[(0, 25.0, 25.0)],
                        objects=objects + [(6, 45.0, 45.0, 0.0, True)])
     actions = first_step(scene.build_world(), seed)
-    assert actions[0].kind in (ActionKind.FOLLOW, ActionKind.NOTIFY_AND_FOLLOW)
+    assert actions[0].kind in (FOLLOW, NOTIFY_AND_FOLLOW)
     assert actions[0].followed_object < n_important
 
 
@@ -402,7 +403,7 @@ def test_fleet_evolve_matches_per_drone_reference(seed, m, n, steps, gamma, delt
     )
     world = scene.build_world()
     choice, walk = agent_streams(seed, range(m), steps=steps)
-    graphs = {i: {} for i in world.drone_ids}
+    graphs = {i: {} for i in range(m)}
     ceiling = float_weight_ceiling(gamma, delta, n)
     for t in range(steps):
         world = step_world(world, choice[t].tolist(), walk[t].tolist())

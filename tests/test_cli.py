@@ -9,14 +9,18 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twinsync import cli, equivalence
 from twinsync.cli import main
+from twinsync.equivalence import CHECKER_NAMES
 from twinsync.harness import StrategyStudyConfig, TwinRunConfig, run_paired
-from twinsync.model import ActionKind, load_scene
+from twinsync.model import FOLLOW, NOTIFY_AND_FOLLOW, load_scene
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
@@ -191,8 +195,8 @@ def test_run_takes_action2_when_k_is_1(tmp_path, monkeypatch):
                            "--theta", "0", "--steps", "200")
     assert rc == 0
     assert len(read_rows(trace)) == 201
-    assert ActionKind.FOLLOW in kinds
-    assert ActionKind.NOTIFY_AND_FOLLOW not in kinds
+    assert FOLLOW in kinds
+    assert NOTIFY_AND_FOLLOW not in kinds
 
 
 def test_run_rejects_bad_step_count(tmp_path, capsys):
@@ -701,25 +705,33 @@ def test_pareto_rejects_missing_columns(tmp_path, capsys):
     assert "lacks columns" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag,value,field", [
-    ("--drones", "1", "drones"),
-    ("--width", "-5", "width"),
-    ("--width", "0.5", "width"),  # an object's unit step could cross the arena
-    ("--height", "0", "height"),
-    ("--k", "0", "k"),
-    ("--range", "-2", "range"),
-    ("--gamma", "1.5", "gamma"),
-    ("--delta", "0", "delta"),
-    ("--delta", "1e308", "delta"),  # the weights would overflow to inf
-    ("--importance-period", "0", "importance_period"),
-    ("--k", "4", "k"),  # above --drones: no object could ever be k-covered
-])
+# (flag, value, what the message must say); each case's id ends in the field
+GEN_SCENE_REFUSALS = [
+    ("--drones", "1", "scene has 1 drone; need at least two"),
+    ("--drones", "0", "scene has no drones"),
+    ("--drones", "-3", "scene has no drones"),
+    ("--width", "-5", "width must"),
+    ("--width", "0.5", "width must"),  # an object's unit step could cross the arena
+    ("--width", "1e200", "width must"),  # a unit step would round away
+    ("--height", "0", "height must"),
+    ("--k", "0", "k must"),
+    ("--range", "-2", "range must"),
+    ("--gamma", "1.5", "gamma must"),
+    ("--delta", "0", "delta must"),
+    ("--delta", "1e308", "delta must"),  # the weights would overflow to inf
+    ("--importance-period", "0", "importance_period must"),
+    ("--k", "4", "k must"),  # above --drones: no object could ever be k-covered
+]
+
+
+@pytest.mark.parametrize("flag,value,message", GEN_SCENE_REFUSALS, ids=[
+    f"{flag}-{value}-{flag[2:].replace('-', '_')}" for flag, value, _ in GEN_SCENE_REFUSALS])
 def test_gen_scene_rejects_bad_parameter_and_writes_nothing(tmp_path, capsys, flag, value,
-                                                            field):
+                                                            message):
     out = tmp_path / "x.json"
     rc = main(["gen-scene", "--drones", "3", "--objects", "4", flag, value, "--out", str(out)])
     assert rc == 1
-    assert f"{field} must" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -736,6 +748,39 @@ def test_a_delta_inside_the_overflow_rule_keeps_every_metric_finite(tmp_path):
     assert len(rows) == 50
     assert all(math.isfinite(float(row["metric_value"])) for row in rows)
     assert all(row["updated"] == "1" for row in rows)
+
+
+@given(drones=st.integers(2, 6), objects=st.integers(1, 8), seed=st.integers(0, 2**32),
+       width=st.floats(1.0, 2.0**51), height=st.floats(1.0, 2.0**51), k=st.integers(1, 6),
+       sensing_range=st.floats(0.0, 1e300, exclude_min=True),
+       gamma=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       delta=st.floats(0.0, 1e100, exclude_min=True), period=st.integers(1, 40),
+       condition=st.sampled_from(["none", "I", "II"]))
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_every_generated_scene_runs_every_checker_finitely(
+        drones, objects, seed, width, height, k, sensing_range, gamma, delta, period, condition):
+    # any parameters inside gen-scene's rules give a scene that every checker
+    # runs to finite outputs, updating at every check at theta = -1 and never at inf
+    with tempfile.TemporaryDirectory() as tmp:
+        scene, trace, summary = (Path(tmp) / name for name in ("s.json", "t.csv", "s.csv"))
+        assert main(["gen-scene", "--drones", str(drones), "--objects", str(objects),
+                     "--seed", str(seed), "--width", repr(width), "--height", repr(height),
+                     "--k", str(min(k, drones)), "--range", repr(sensing_range),
+                     "--gamma", repr(gamma), "--delta", repr(delta),
+                     "--importance-period", str(period), "--out", str(scene)]) == 0
+        for checker in CHECKER_NAMES:
+            for theta, flag in (("-1", "1"), ("inf", "0")):
+                assert main(["run", "--scene", str(scene), "--condition", condition,
+                             "--checker", checker, f"--theta={theta}", "--steps", "30",
+                             "--trace", str(trace), "--summary", str(summary)]) == 0
+                rows = list(csv.DictReader(trace.open()))
+                assert len(rows) == 30
+                assert all(math.isfinite(float(v)) for row in rows for v in row.values())
+                assert all(row["updated"] == flag for row in rows)
+                (row,) = csv.DictReader(summary.open())
+                assert int(row["updates"]) == (30 if flag == "1" else 0)
+                assert math.isfinite(float(row["avg_utility_deviation"]))
+                assert math.isfinite(float(row["memory_cost"]))
 
 
 def test_gen_scene_names_every_bad_parameter(tmp_path, capsys):

@@ -2,7 +2,8 @@
 
 The run cases together cover every checker, the conditions none, I and II,
 and q/l = 1/1 and 5/10, at 200 steps per run; the study case covers all
-three update strategies. Any change to what the simulator computes, down to
+three update strategies. The relabelled cases run the action checkers on a
+scene whose ids are not positions. Any change to what the simulator computes, down to
 the last bit of a float repr, changes a hash. A deliberate change of
 behaviour regenerates the table with `_golden_table` and records why in
 CHANGES.md.
@@ -11,11 +12,13 @@ CHANGES.md.
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from twinsync.cli import main
+from twinsync.model import load_scene, save_scene
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
 STEPS = "200"
@@ -84,6 +87,24 @@ STUDY_ARGS = ["--scene", str(SCENES / "scene6.json"), "--condition", "II",
 GOLDEN_STUDY = "6c523099df643c667bb39ec34494d35de8a80c7c7509a224cdaa05749a4875ba"
 
 
+# Runs on scene4 with its ids relabelled, so that no drone's or object's id is
+# its position: name: (condition, checker, theta). Drone draws are keyed by
+# id, so these traces differ from scene4's.
+RELABELLED_RUNS = {
+    "I-action": ("I", "action", "0.2"),
+    "I-action2": ("I", "action2", "0.3"),
+    "II-action": ("II", "action", "0.1"),
+    "II-action2": ("II", "action2", "0.5"),
+}
+
+GOLDEN_RELABELLED = {
+    "I-action": "81259d161680cb6f97f33cc088790e98b269f4b2e512d16c686fd53819551d69",
+    "I-action2": "ff53e065d6054a7965b18ede99a98f8c4bc03884ab4cb3010cb8f00b778b6040",
+    "II-action": "424e475af91b0e0cec017278835b2a39e869246224bca87fe148fbfae18090c4",
+    "II-action2": "85b686afa9da1355d2a019b9819a0920f3617dafb8d5f02a686c88364fa1eb57",
+}
+
+
 def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -105,6 +126,28 @@ def run_study(tmp_path: Path) -> str:
     return sha256(out)
 
 
+def relabelled_scene4(tmp_path: Path) -> Path:
+    """scene4 with drone ids from 100 and object ids from 1000 in steps of 7
+    and 11, dealt out of file order and listed in reverse."""
+    scene = load_scene(SCENES / "scene4.json")
+    m, n = len(scene.drones), len(scene.objects)
+    drones = [d._replace(id=100 + 7 * (3 * i % m)) for i, d in enumerate(scene.drones)]
+    objects = [o._replace(id=1000 + 11 * (7 * j % n)) for j, o in enumerate(scene.objects)]
+    path = tmp_path / "relabelled.json"
+    save_scene(replace(scene, drones=tuple(reversed(drones)),
+                       objects=tuple(reversed(objects))), path)
+    return path
+
+
+def run_relabelled(name: str, tmp_path: Path) -> str:
+    condition, checker, theta = RELABELLED_RUNS[name]
+    trace = tmp_path / f"{name}-trace.csv"
+    assert main(["run", "--scene", str(relabelled_scene4(tmp_path)), "--condition", condition,
+                 "--checker", checker, f"--theta={theta}", "--steps", STEPS, "--seed", "11",
+                 "--trace", str(trace), "--summary", str(tmp_path / "summary.csv")]) == 0
+    return sha256(trace)
+
+
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_run_csvs_match_golden_hashes(name, tmp_path, capsys):
     assert run_case(name, tmp_path) == GOLDEN_RUNS[name]
@@ -114,12 +157,21 @@ def test_strategy_study_csv_matches_golden_hash(tmp_path, capsys):
     assert run_study(tmp_path) == GOLDEN_STUDY
 
 
+@pytest.mark.parametrize("name", sorted(RELABELLED_RUNS))
+def test_relabelled_scene_traces_match_golden_hashes(name, tmp_path, capsys):
+    assert run_relabelled(name, tmp_path) == GOLDEN_RELABELLED[name]
+
+
 def _golden_table(tmp_path: Path) -> str:
-    """Print-ready GOLDEN_RUNS and GOLDEN_STUDY from the current code."""
+    """Print-ready GOLDEN_RUNS, GOLDEN_STUDY and GOLDEN_RELABELLED from the current code."""
     lines = ["GOLDEN_RUNS = {"]
     for name in sorted(RUNS):
         trace, summary = run_case(name, tmp_path)
         lines.append(f'    "{name}": (\n        "{trace}",\n        "{summary}",\n    ),')
     lines.append("}")
     lines.append(f'GOLDEN_STUDY = "{run_study(tmp_path)}"')
+    lines.append("GOLDEN_RELABELLED = {")
+    lines.extend(f'    "{name}": "{run_relabelled(name, tmp_path)}",'
+                 for name in sorted(RELABELLED_RUNS))
+    lines.append("}")
     return "\n".join(lines)

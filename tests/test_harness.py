@@ -49,6 +49,7 @@ SMALL = make_scene(
         (7, 45.0, 5.0, 270.0, True),
     ],
 )
+SMALL_IDS = sorted(d.id for d in SMALL.drones)  # the keys of the drones' streams
 
 
 # ------------------------------------------------------------
@@ -121,7 +122,7 @@ def test_conditions_wire_the_right_threats():
 
 
 def run_world(world, seed, steps, **kwargs):
-    choice, walk = agent_streams(seed, world.drone_ids, steps=steps)
+    choice, walk = agent_streams(seed, SMALL_IDS, steps=steps)
     for t in range(steps):
         world = step_world(world, choice[t].tolist(), walk[t].tolist(), **kwargs)
     return world
@@ -158,8 +159,8 @@ def test_snapshot_estimates_only_uncovered_objects():
 
     snap = sense_snapshot(world, CONDITIONS["II"], derive_rng(5))
     # only the uncovered objects' positions, and their sensing, are new
-    for name in ("time", "object_ids", "object_dir", "important", "drone_ids",
-                 "drone_x", "drone_y", "inbox", "params", "weights"):
+    for name in ("time", "object_dir", "important", "drone_x", "drone_y", "inbox", "params",
+                 "weights"):
         assert getattr(snap, name) is getattr(world, name), name
     for j, estimated in enumerate(uncovered):
         x, y = snap.object_x[j], snap.object_y[j]
@@ -205,8 +206,8 @@ def paired_for_update(steps=20):
     return physical, twin
 
 
-COLUMNS = ("object_ids", "object_x", "object_y", "object_dir", "important",
-           "drone_ids", "drone_x", "drone_y", "inbox", "coverage")
+COLUMNS = ("object_x", "object_y", "object_dir", "important", "drone_x", "drone_y", "inbox",
+           "coverage")
 
 
 def test_apply_update_replaces_shared_state():
@@ -293,7 +294,7 @@ def test_update_under_estimation_noise_stays_bounded():
     threat = CONDITIONS["II"]
     snap = sense_snapshot(physical, threat, derive_rng(1))
     updated = apply_update(twin, snap, "update")
-    n_obj = len(physical.object_ids)
+    n_obj = len(physical.object_x)
     dev = state_deviation(state_vector(physical), state_vector(updated))
     assert dev <= 5.0 * math.sqrt(2.0 * n_obj)
     # drones resync exactly; only estimated objects carry error
@@ -357,8 +358,8 @@ def test_run_paired_free_twin_matches_standalone_run():
     trace = run_paired(run_config(condition="I", theta=math.inf, steps=40))
     twin = SMALL.build_world()
     # divergence re-keys choice draws to seed + 1; walks stay on the run seed
-    (choice,) = agent_streams(6, twin.drone_ids, steps=40, channels=(CHANNEL_CHOICE,))
-    _, walk = agent_streams(5, twin.drone_ids, steps=40)
+    (choice,) = agent_streams(6, SMALL_IDS, steps=40, channels=(CHANNEL_CHOICE,))
+    _, walk = agent_streams(5, SMALL_IDS, steps=40)
     oracle = []
     for t in range(40):
         oracle.append(utility_k(twin))
@@ -443,8 +444,8 @@ def test_forced_resyncs_score_the_restepped_twins_actions(checker, deviation):
     steps = 60
     trace = run_paired(run_config(condition="I", checker=checker, theta=-1.0, steps=steps))
     physical = SMALL.build_world()
-    phys_choice, walk = agent_streams(5, physical.drone_ids, steps=steps)
-    (twin_choice,) = agent_streams(6, physical.drone_ids, steps=steps,
+    phys_choice, walk = agent_streams(5, SMALL_IDS, steps=steps)
+    (twin_choice,) = agent_streams(6, SMALL_IDS, steps=steps,
                                    channels=(CHANNEL_CHOICE,))
     expected = [0.0]  # fresh worlds carry no actions
     for t in range(steps - 1):
@@ -516,15 +517,15 @@ def test_run_paired_action2_memory_cost_is_the_mean_of_step_costs():
     trace = run_paired(run_config(condition="I", checker="action2", theta=math.inf,
                                   steps=40))
     physical, twin = SMALL.build_world(), SMALL.build_world()
-    phys_choice, walk = agent_streams(5, physical.drone_ids, steps=40)
-    (twin_choice,) = agent_streams(6, physical.drone_ids, steps=40,
+    phys_choice, walk = agent_streams(5, SMALL_IDS, steps=40)
+    (twin_choice,) = agent_streams(6, SMALL_IDS, steps=40,
                                    channels=(CHANNEL_CHOICE,))
     costs = []
     for t in range(40):
         costs.append(comparison_memory_cost(
             "action2", 5, 8, k=SMALL.k,
-            step_kinds=([a.kind.value for a in physical.actions],
-                        [a.kind.value for a in twin.actions])))
+            step_kinds=([a.kind for a in physical.actions],
+                        [a.kind for a in twin.actions])))
         physical = step_world(physical, phys_choice[t].tolist(), walk[t].tolist(),
                               bias_degrees=3.0)
         twin = step_world(twin, twin_choice[t].tolist(), walk[t].tolist())

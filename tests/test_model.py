@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twinsync.model import (
+    FOLLOW,
     SCENE_PARAMETERS,
-    ActionKind,
     ActionRecord,
     SceneDrone,
     SceneObject,
@@ -56,9 +56,9 @@ def test_build_world_sorts_entities_by_id():
         objects=[(9, 3.0, 3.0, 0.0, False), (4, 4.0, 4.0, 90.0, True)],
     )
     world = scene.build_world()
-    assert world.drone_ids == (2, 5)
+    # drone 2 and object 4 come first: an entity is named by its position
     assert (world.drone_x, world.drone_y) == ((2.0, 1.0), (2.0, 1.0))
-    assert world.object_ids == (4, 9)
+    assert (world.object_x, world.object_y) == ((4.0, 3.0), (4.0, 3.0))
     assert world.object_dir == (90.0, 0.0)
     assert world.important == (True, False)
 
@@ -157,8 +157,8 @@ def test_validate_reports_parameter_violations():
 
 # A bad value per world parameter, by JSON key, and the message it must get.
 BROKEN_PARAMETERS = {
-    "width": (0.0, "width must be finite and >= 1, got 0.0"),
-    "height": (math.inf, "height must be finite and >= 1, got inf"),
+    "width": (0.0, "width must lie in [1, 2**51], got 0.0"),
+    "height": (math.inf, "height must lie in [1, 2**51], got inf"),
     "k": (0, "k must be >= 1, got 0"),
     "range": (-1.0, "range must be positive and finite, got -1.0"),
     "gamma": (1.0, "gamma must lie in (0, 1), got 1.0"),
@@ -233,8 +233,8 @@ def test_load_scene_strict_rejects_invalid(tmp_path):
 
 
 def test_message_and_entity_shapes():
-    record = ActionRecord(ActionKind.FOLLOW, 4)
-    assert record == (ActionKind.FOLLOW, 4, frozenset(), None)
+    record = ActionRecord(FOLLOW, 4)
+    assert record == ("follow", 4, frozenset(), None)
     assert record.followed_object == 4 and record.responded_to is None
     drone = SceneDrone(1, 2.0, 3.0)
     assert drone.id == 1

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twinsync.harness import agent_streams
-from twinsync.model import ActionKind, load_scene
+from twinsync.model import (FOLLOW, NOTIFY_AND_FOLLOW, RANDOM_WALK, RESPOND_AND_FOLLOW,
+                            load_scene)
 from twinsync.worldsim import coverage_map, step_world, utility_k
 
 from helpers import (
@@ -45,7 +46,7 @@ def follow_step(drone, target):
     """Where a lone drone at `drone` moves when it follows an object at `target`."""
     world = world_of([(0, *drone)], [(0, *target, 0.0, True)], k=1)
     stepped = step_world(world, [0.0], [0.0])
-    assert stepped.actions[0].kind is ActionKind.FOLLOW
+    assert stepped.actions[0].kind == FOLLOW
     return stepped.drone_x[0], stepped.drone_y[0]
 
 
@@ -54,7 +55,7 @@ def test_clamp_point_corners():
     far = [(0, 40.0, 40.0, 0.0, False)]  # unimportant: every drone walks
     world = world_of([(0, 2.0, 25.0), (1, 48.0, 2.0), (2, 1.0, 1.0), (3, 12.0, 13.0)], far)
     stepped = step_world(world, [0.0] * 4, [0.5, 0.875, 0.625, 0.0])  # 180, 315, 225, 0 deg
-    assert [a.kind for a in stepped.actions] == [ActionKind.RANDOM_WALK] * 4
+    assert [a.kind for a in stepped.actions] == [RANDOM_WALK] * 4
     assert stepped.drone_x == (0.0, 50.0, 0.0, 17.0)
     assert stepped.drone_y == (25.0, 0.0, 0.0, 13.0)
 
@@ -246,9 +247,8 @@ def test_step_world_without_drones_moves_objects_only():
 
 
 def columns(world):
-    return (world.time, world.object_ids, world.object_x, world.object_y,
-            world.object_dir, world.important, world.drone_ids, world.drone_x,
-            world.drone_y, world.inbox, world.coverage)
+    return (world.time, world.object_x, world.object_y, world.object_dir, world.important,
+            world.drone_x, world.drone_y, world.inbox, world.coverage)
 
 
 def test_step_world_is_pure_and_deterministic():
@@ -314,13 +314,13 @@ def test_step_world_delivers_messages_next_step():
     tapes = agent_streams(1, [0, 1], steps=2)
 
     world = run_steps(world, tapes, 1)
-    assert world.actions[0].kind is ActionKind.NOTIFY_AND_FOLLOW
+    assert world.actions[0].kind == NOTIFY_AND_FOLLOW
     assert world.actions[0].notified_drones == {1}
-    # (sender index, object id, x, y): the object's position when sent
+    # (sender, object, x, y), both by position, with the object's position when sent
     assert world.inbox == ((), ((0, 0, 1.0, 0.0),))
 
     world2 = run_steps(world, tapes, 1, t0=1)
-    assert world2.actions[1].kind is ActionKind.RESPOND_AND_FOLLOW
+    assert world2.actions[1].kind == RESPOND_AND_FOLLOW
     assert world2.actions[1].responded_to == 0
     # the old request expired; the re-notification replaced it
     assert world2.inbox == ((), ((0, 0, world.object_x[0], world.object_y[0]),))
@@ -333,7 +333,7 @@ def test_step_world_responder_moves_toward_advertised_position():
     before = (world.drone_x[1], world.drone_y[1])
     world = run_steps(world, tapes, 1, t0=1)
     after = (world.drone_x[1], world.drone_y[1])
-    assert world.actions[1].kind is ActionKind.RESPOND_AND_FOLLOW
+    assert world.actions[1].kind == RESPOND_AND_FOLLOW
     moved = math.hypot(after[0] - before[0], after[1] - before[1])
     assert moved == pytest.approx(2.0)
     # strictly closer to the advertised object position (1, 0)
@@ -344,7 +344,7 @@ def test_step_world_random_walk_budget():
     scene = make_scene(drones=[(0, 25.0, 25.0)], objects=[(0, 5.0, 5.0, 0.0, False)])
     world = scene.build_world()
     world = step_world(world, [0.5], [0.3])
-    assert world.actions[0].kind is ActionKind.RANDOM_WALK
+    assert world.actions[0].kind == RANDOM_WALK
     assert math.hypot(world.drone_x[0] - 25.0, world.drone_y[0] - 25.0) == pytest.approx(5.0)
     # the walk draw is the heading as a fraction of a full turn
     angle = math.degrees(math.atan2(world.drone_y[0] - 25.0, world.drone_x[0] - 25.0))
@@ -380,8 +380,7 @@ def test_step_world_bias_only_affects_objects():
 def test_step_world_columns_hold_python_scalars():
     # per-entity math runs on Python floats; numpy scalars would slow it down
     world = run_steps(notify_scene().build_world(), agent_streams(1, [0, 1], steps=3), 3)
-    for name in ("object_ids", "drone_ids", "coverage"):
-        assert all(type(v) is int for v in getattr(world, name)), name
+    assert all(type(v) is int for v in world.coverage)
     for name in ("object_x", "object_y", "object_dir", "drone_x", "drone_y"):
         assert all(type(v) is float for v in getattr(world, name)), name
     assert all(type(v) is bool for v in world.important)
@@ -429,29 +428,34 @@ def assert_steps_match_reference(scene, seed, steps, bias):
     """Step the columnar world and the object-based reference in lockstep and
     require every column, the weight bytes and the records to agree."""
     world, ref = scene.build_world(), reference_build_world(scene)
-    ids = world.drone_ids
+    ids = sorted(d.id for d in scene.drones)
     choice, walk = agent_streams(seed, ids, steps=steps)
     streams = reference_agent_streams(seed, ids)
+    # the reference names entities by id, the world by position
+    drone_at = {i: p for p, i in enumerate(ids)}
+    object_at = {o.id: p for p, o in enumerate(ref.objects)}
     for t in range(steps):
         world = step_world(world, choice[t].tolist(), walk[t].tolist(), bias_degrees=bias)
         ref, ref_actions = reference_step(ref, streams, bias_degrees=bias)
         assert world.time == ref.time
-        assert world.object_ids == tuple(o.id for o in ref.objects)
         assert world.object_x == tuple(o.position.x for o in ref.objects)
         assert world.object_y == tuple(o.position.y for o in ref.objects)
         assert world.object_dir == tuple(o.direction for o in ref.objects)
         assert world.important == tuple(o.important for o in ref.objects)
-        assert world.drone_ids == tuple(d.id for d in ref.drones)
+        assert [d.id for d in ref.drones] == ids
         assert world.drone_x == tuple(d.position.x for d in ref.drones)
         assert world.drone_y == tuple(d.position.y for d in ref.drones)
-        assert [[(ids[s], oid, x, y, t) for s, oid, x, y in box] for box in world.inbox] == \
-            [[(r.sender_id, r.object_id, *r.object_position, r.sent_at) for r in d.inbox]
-             for d in ref.drones]
+        assert [[(s, j, x, y, t) for s, j, x, y in box] for box in world.inbox] == \
+            [[(drone_at[r.sender_id], object_at[r.object_id], *r.object_position, r.sent_at)
+              for r in d.inbox] for d in ref.drones]
         assert world.weights.tobytes() == ref.weights.tobytes()
         assert np.array_equal(world.in_range, ref.in_range)
         assert world.coverage == tuple(ref.in_range.sum(axis=0).tolist())
         # a record's drone is its position: the reference's come in drone order
-        assert tuple(a.drone_id for a in ref_actions) == world.drone_ids
+        assert [a.drone_id for a in ref_actions] == ids
         assert [tuple(a) for a in world.actions] == [
-            (a.kind, a.followed_object, a.notified_drones, a.responded_to)
+            (a.kind,
+             None if a.followed_object is None else object_at[a.followed_object],
+             frozenset(drone_at[n] for n in a.notified_drones),
+             None if a.responded_to is None else drone_at[a.responded_to])
             for a in ref_actions]
