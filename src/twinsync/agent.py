@@ -46,47 +46,45 @@ def select_notify_targets(row: Sequence[float], me: int, k: int) -> list[int]:
     """
     others = [j for j in range(len(row)) if j != me]
     others.sort(key=lambda j: -row[j])  # stable: drone order breaks ties
-    return others[: max(0, k - 1)]
+    return others[: k - 1]
 
 
-def select_response(inbox: Sequence[Request], row: Sequence[float]) -> Request | None:
+def select_response(inbox: Sequence[Request], row: Sequence[float]) -> Request:
     """Choose which help request to honour: strongest edge, then lowest sender."""
-    if not inbox:
-        return None
     return min(inbox, key=lambda r: (-row[r[0]], r[0]))
 
 
 # A random walk reads nothing of the world, so every walk shares one decision.
-_RANDOM_WALK = (ActionRecord(RANDOM_WALK), None, ())
+_RANDOM_WALK = (ActionRecord(RANDOM_WALK), None)
 
 
 def decide(
     world: WorldState, i: int, sensed: Sequence[int], choice: float
-) -> tuple[ActionRecord, tuple[float, float, float] | None, Sequence[int]]:
+) -> tuple[ActionRecord, tuple[float, float, float] | None]:
     """Select drone i's action for this step.
 
     `sensed` lists the important objects drone i has in range, by ascending
     object index. Priority: an important object in range (notify if it is
     not k-covered, else follow), then answering a help request, then a
     random walk. The pick among sensed objects is the `choice` uniform scaled
-    to their count. Returns the action, the point to head for with its
-    movement budget as (x, y, budget), or None for a random walk, and the
-    indices of the drones that get a help request.
+    to their count. Returns the action, whose `notified_drones` get a help
+    request, and the point to head for with its movement budget as
+    (x, y, budget), or None for a random walk.
     """
     if sensed:
         j = sensed[int(choice * len(sensed))]  # sensed is ordered: order-independent pick
         target = (world.object_x[j], world.object_y[j], FOLLOW_DISTANCE)
         k = world.params.k
         if world.coverage[j] >= k:  # drone i counts itself
-            return ActionRecord(FOLLOW, j), target, ()
+            return ActionRecord(FOLLOW, j), target
         notify = select_notify_targets(world.weights[i].tolist(), i, k)
-        return ActionRecord(NOTIFY_AND_FOLLOW, j, frozenset(notify)), target, notify
+        return ActionRecord(NOTIFY_AND_FOLLOW, j, frozenset(notify)), target
 
     inbox = world.inbox[i]
     if inbox:
         sender, j, x, y = select_response(inbox, world.weights[i].tolist())
         action = ActionRecord(RESPOND_AND_FOLLOW, j, frozenset(), sender)
-        return action, (x, y, RESPOND_DISTANCE), ()
+        return action, (x, y, RESPOND_DISTANCE)
     return _RANDOM_WALK
 
 

@@ -81,7 +81,7 @@ def generate_scene(params: SceneSpec, n_drones: int, n_objects: int, seed: int) 
         bad.append(f"seed must be >= 0, got {seed}")
     if bad:
         raise ValueError("; ".join(bad))
-    width, height = params.bounds
+    width, height = params.width, params.height
     rng = derive_rng(seed, STREAM_SCENE)
     drones = tuple(
         SceneDrone(i, float(rng.uniform(0.0, width)), float(rng.uniform(0.0, height)))
@@ -129,18 +129,6 @@ def _join_dash_values(argv: list[str]) -> list[str]:
         else:
             out.append(token)
     return out
-
-
-# gen-scene's (default, help) per world parameter, by SceneSpec field.
-_SCENE_DEFAULTS = {
-    "width": (50.0, "arena width"),
-    "height": (50.0, "arena height"),
-    "k": (2, "coverage requirement"),
-    "sensing_range": (10.0, "sensing radius"),
-    "gamma": (0.9, "edge evaporation factor"),
-    "delta": (1.0, "edge reinforcement"),
-    "importance_period": (30, "steps between importance flips"),
-}
 
 
 def _flag(field: str) -> str:
@@ -270,7 +258,8 @@ def summary_row(config: TwinRunConfig, trace: Trace, repeat: int) -> tuple:
 
 
 def _cmd_gen_scene(args) -> int:
-    params = SceneSpec(**{f: getattr(args, f) for f in _SCENE_DEFAULTS}, drones=(), objects=())
+    params = SceneSpec(**{f: getattr(args, f) for _, f, *_ in SCENE_PARAMETERS},
+                       drones=(), objects=())
     try:
         scene = generate_scene(params, args.drones, args.objects, args.seed)
     except ValueError as exc:
@@ -473,8 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--drones", type=int, required=True)
     p.add_argument("--objects", type=int, required=True)
     p.add_argument("--seed", type=int, default=0, help="placement seed" + shown)
-    for key, field, kind, _ in SCENE_PARAMETERS:
-        default, help_text = _SCENE_DEFAULTS[field]
+    for key, field, kind, _, default, help_text in SCENE_PARAMETERS:
         p.add_argument(_flag(key), dest=field, type=float if kind == NUMBER else int,
                        default=default, help=help_text + shown)
     p.add_argument("--out", required=True, help="output scene JSON path")

@@ -103,7 +103,7 @@ def sense_snapshot(
     if threat.estimation_error_max == 0 or all(physical.coverage):
         return physical
     e = threat.estimation_error_max
-    width, height = physical.params.bounds
+    width, height = physical.params.width, physical.params.height
     object_x, object_y = list(physical.object_x), list(physical.object_y)
     for j, count in enumerate(physical.coverage):
         if count == 0:

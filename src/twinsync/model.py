@@ -121,10 +121,6 @@ class SceneSpec:
     drones: tuple[SceneDrone, ...]
     objects: tuple[SceneObject, ...]
 
-    @property
-    def bounds(self) -> tuple[float, float]:
-        return (self.width, self.height)
-
     def build_world(self) -> WorldState:
         """Instantiate the t=0 world: empty inboxes, all edge weights zero."""
         from .agent import build_perceptions  # agent imports this module
@@ -184,15 +180,17 @@ _UNIT_OPEN = ("must lie in (0, 1)", lambda v: 0.0 < v < 1.0)
 # component is at least sqrt(1/2), so every step moves an entity.
 _ARENA_SIDE = ("must lie in [1, 2**51]", lambda v: 1.0 <= v <= 2.0**51)
 # The world parameters in file order: (JSON key, SceneSpec field, JSON type,
-# rule as (message, test)). Scene I/O, parameter checks and gen-scene read it.
+# rule as (message, test), gen-scene default, gen-scene help). Scene I/O,
+# parameter checks and gen-scene read it.
 SCENE_PARAMETERS = (
-    ("width", "width", NUMBER, _ARENA_SIDE),
-    ("height", "height", NUMBER, _ARENA_SIDE),
-    ("k", "k", INTEGER, _AT_LEAST_1),
-    ("range", "sensing_range", NUMBER, _POSITIVE),
-    ("gamma", "gamma", NUMBER, _UNIT_OPEN),
-    ("delta", "delta", NUMBER, _POSITIVE),
-    ("importance_period", "importance_period", INTEGER, _AT_LEAST_1),
+    ("width", "width", NUMBER, _ARENA_SIDE, 50.0, "arena width"),
+    ("height", "height", NUMBER, _ARENA_SIDE, 50.0, "arena height"),
+    ("k", "k", INTEGER, _AT_LEAST_1, 2, "coverage requirement"),
+    ("range", "sensing_range", NUMBER, _POSITIVE, 10.0, "sensing radius"),
+    ("gamma", "gamma", NUMBER, _UNIT_OPEN, 0.9, "edge evaporation factor"),
+    ("delta", "delta", NUMBER, _POSITIVE, 1.0, "edge reinforcement"),
+    ("importance_period", "importance_period", INTEGER, _AT_LEAST_1, 30,
+     "steps between importance flips"),
 )
 
 # The scene file, in key order: (JSON key, SceneSpec field, JSON type). An
@@ -262,7 +260,7 @@ def scene_from_dict(data: dict) -> SceneSpec:
 def parameter_violations(scene: SceneSpec) -> list[str]:
     """Violations among the world parameters alone, each naming its JSON key."""
     return [f"{key} {message}, got {getattr(scene, field)}"
-            for key, field, _, (message, holds) in SCENE_PARAMETERS
+            for key, field, _, (message, holds), *_ in SCENE_PARAMETERS
             if not holds(getattr(scene, field))]
 
 
@@ -293,6 +291,8 @@ def validate_scene(scene: SceneSpec) -> list[str]:
         if d.id in seen:
             bad.append(f"duplicate drone id {d.id}")
         seen.add(d.id)
+        if d.id < 0:  # ids key each drone's SeedSequence, which takes no negative entropy
+            bad.append(f"drone id {d.id} must be >= 0")
         if not (0.0 <= d.x <= scene.width and 0.0 <= d.y <= scene.height):
             bad.append(f"drone {d.id} position ({d.x}, {d.y}) out of bounds")
     seen = set()

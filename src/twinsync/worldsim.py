@@ -43,7 +43,7 @@ def step_world(
     in lockstep stay draw-aligned no matter how their branches differ.
     """
     params = world.params
-    width, height = params.bounds
+    width, height = params.width, params.height
     important = world.important
 
     sensed: list[list[int]] = [[] for _ in world.drone_x]
@@ -59,7 +59,7 @@ def step_world(
     inbox: list[list[Request]] | None = None  # made by the first request
     drone_x, drone_y = [], []
     for i, (x, y, c) in enumerate(zip(world.drone_x, world.drone_y, choice)):
-        action, target, notify = decide(world, i, sensed[i], c)
+        action, target = decide(world, i, sensed[i], c)
         actions.append(action)
         if target is None:
             rad = math.radians(walk[i] * 360.0)
@@ -67,7 +67,7 @@ def step_world(
             y += RANDOM_WALK_DISTANCE * math.sin(rad)
         else:
             tx, ty, budget = target
-            for recipient in notify:
+            for recipient in action.notified_drones:  # any order: each inbox gets one per sender
                 if inbox is None:
                     inbox = [[] for _ in world.drone_x]
                 inbox[recipient].append((i, action.followed_object, tx, ty))

@@ -168,10 +168,6 @@ def test_select_notify_targets_counts_zero_weight_drones():
     assert select_notify_targets((0.0,) * 4, 0, k=3) == [1, 2]
 
 
-def test_select_response_empty_inbox():
-    assert select_response((), ZERO_ROW) is None
-
-
 def test_select_response_prefers_strongest_edge():
     inbox = ((1, 8, 2.0, 2.0), (2, 9, 1.0, 1.0))
     assert select_response(inbox, (0.0, 5.0, 2.0))[0] == 1
@@ -206,20 +202,18 @@ def decide_of(sensed=(), choice=0.0, **world):
 
 
 def test_decide_notifies_when_not_k_covered():
-    action, target, notify = decide_of(sensed=[0], coverage=(1, 1), row=(0.0, 0.0, 1.0))
+    action, target = decide_of(sensed=[0], coverage=(1, 1), row=(0.0, 0.0, 1.0))
     assert action.kind == NOTIFY_AND_FOLLOW
     assert action.followed_object == 0  # object 4, by position
-    assert action.notified_drones == {2}
+    assert action.notified_drones == {2}  # step_world sends their requests
     assert target == (3.0, 0.0, FOLLOW_DISTANCE)
-    assert notify == [2]
 
 
 def test_decide_follows_when_already_k_covered():
-    action, target, notify = decide_of(sensed=[0], coverage=(2, 1))
+    action, target = decide_of(sensed=[0], coverage=(2, 1))
     assert action.kind == FOLLOW
     assert action.followed_object == 0
     assert action.notified_drones == frozenset()
-    assert notify == ()
     assert target == (3.0, 0.0, FOLLOW_DISTANCE)
 
 
@@ -232,24 +226,23 @@ def test_decide_ignores_unimportant_objects():
 
 
 def test_decide_responds_to_best_request():
-    action, target, notify = decide_of(inbox=[(1, 1, 9.0, 9.0)])
+    action, target = decide_of(inbox=[(1, 1, 9.0, 9.0)])
     assert action.kind == RESPOND_AND_FOLLOW
     assert action.responded_to == 1
     assert action.followed_object == 1
+    assert action.notified_drones == frozenset()
     assert target == (9.0, 9.0, RESPOND_DISTANCE)
-    assert notify == ()
 
 
 def test_decide_important_object_outranks_inbox():
-    action, _, _ = decide_of(sensed=[0], coverage=(2, 2), inbox=[(1, 1, 9.0, 9.0)])
+    action, _ = decide_of(sensed=[0], coverage=(2, 2), inbox=[(1, 1, 9.0, 9.0)])
     assert action.kind == FOLLOW
 
 
 def test_decide_random_walk_when_idle():
-    action, target, notify = decide_of()
+    action, target = decide_of()
     assert action.kind == RANDOM_WALK
     assert target is None  # step_world turns the walk draw into a heading
-    assert notify == ()
     assert action.followed_object is None
     assert action.notified_drones == frozenset()
     assert action.responded_to is None

@@ -474,7 +474,11 @@ def test_flag_defaults_are_the_config_defaults(command, config_type):
 
 
 @pytest.mark.parametrize("command,shown", [
-    ("gen-scene", ["arena width (default: 50.0)", "coverage requirement (default: 2)"]),
+    ("gen-scene", ["arena width (default: 50.0)", "arena height (default: 50.0)",
+                   "coverage requirement (default: 2)", "sensing radius (default: 10.0)",
+                   "edge evaporation factor (default: 0.9)",
+                   "edge reinforcement (default: 1.0)",
+                   "steps between importance flips (default: 30)"]),
     ("run", ["simulation steps (default: 1000)", "equivalence checker (default: state)",
              "(default: inf)",
              "window: a check at t sums the l + 1 steps t - l to t (default: 1)"]),
@@ -817,20 +821,36 @@ def test_removed_flags_are_usage_errors(tmp_path, monkeypatch, capsys, command, 
     assert not any(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("command", ["run", "sweep", "strategy-study"])
-def test_a_one_drone_scene_exits_1_before_any_step(tmp_path, monkeypatch, capsys, command):
+def assert_refused_before_any_step(tmp_path, monkeypatch, capsys, command, data, message):
+    """`command` on the scene `data` exits 1 naming `message`, with no run and no CSV."""
     monkeypatch.chdir(tmp_path)  # the default output paths land here
-    data = json.loads((SCENES / "scene1.json").read_text())
-    data["drones"] = data["drones"][:1]
-    scene = tmp_path / "lone.json"
+    scene = tmp_path / "refused.json"
     scene.write_text(json.dumps(data))
     monkeypatch.setattr(cli, "run_paired", lambda config: pytest.fail("a run started"))
     monkeypatch.setattr(cli, "run_strategy_study", lambda config: pytest.fail("a study started"))
     extra = ["--thetas", "0", "--jobs", "1"] if command == "sweep" else []
     rc = main([command, "--scene", str(scene), *extra])
     assert rc == 1
-    assert "scene has 1 drone; need at least two" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not any(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "strategy-study"])
+def test_a_one_drone_scene_exits_1_before_any_step(tmp_path, monkeypatch, capsys, command):
+    data = json.loads((SCENES / "scene1.json").read_text())
+    data["drones"] = data["drones"][:1]
+    assert_refused_before_any_step(tmp_path, monkeypatch, capsys, command, data,
+                                   "scene has 1 drone; need at least two")
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "strategy-study"])
+def test_a_negative_drone_id_exits_1_before_any_step(tmp_path, monkeypatch, capsys, command):
+    # drone ids key the random streams, which take no negative entropy; such
+    # a scene used to load and then fail every run with exit 2
+    data = json.loads((SCENES / "scene1.json").read_text())
+    data["drones"][0]["id"] = -1
+    assert_refused_before_any_step(tmp_path, monkeypatch, capsys, command, data,
+                                   "drone id -1 must be >= 0")
 
 
 @pytest.mark.parametrize("k", [6, 10**400], ids=["6", "10**400"])

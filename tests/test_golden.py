@@ -1,8 +1,9 @@
 """Golden outputs: SHA-256 of the CSVs that `twinsync run` and `strategy-study` write.
 
 The run cases together cover every checker, the conditions none, I and II,
-and q/l = 1/1 and 5/10, at 200 steps per run; the study case covers all
-three update strategies. The relabelled cases run the action checkers on a
+and q/l = 1/1 and 5/10, at 200 steps per run; the study cases cover all
+three update strategies under conditions II and I, the latter with a twin
+that draws its choices from a divergent seed. The relabelled cases run the action checkers on a
 scene whose ids are not positions. Any change to what the simulator computes, down to
 the last bit of a float repr, changes a hash. A deliberate change of
 behaviour regenerates the table with `_golden_table` and records why in
@@ -80,11 +81,12 @@ GOLDEN_RUNS = {
     ),
 }
 
-STUDY_ARGS = ["--scene", str(SCENES / "scene6.json"), "--condition", "II",
+STUDY_ARGS = ["--scene", str(SCENES / "scene6.json"),
               "--samples", "3", "--repeats", "2", "--seed", "9",
               "--accumulation", "20", "--evaluation", "20",
               "--start-min", "1", "--start-max", "60", "--horizon", "100"]
 GOLDEN_STUDY = "6c523099df643c667bb39ec34494d35de8a80c7c7509a224cdaa05749a4875ba"
+GOLDEN_STUDY_I = "f74729b39b460df06f7349e08150b03105fb0b0abd27542ab4fe4f39d01f91b1"
 
 
 # Runs on scene4 with its ids relabelled, so that no drone's or object's id is
@@ -120,9 +122,10 @@ def run_case(name: str, tmp_path: Path) -> tuple[str, str]:
     return sha256(trace), sha256(summary)
 
 
-def run_study(tmp_path: Path) -> str:
+def run_study(tmp_path: Path, condition: str = "II") -> str:
     out = tmp_path / "study.csv"
-    assert main(["strategy-study", *STUDY_ARGS, "--out", str(out)]) == 0
+    assert main(["strategy-study", *STUDY_ARGS, "--condition", condition,
+                 "--out", str(out)]) == 0
     return sha256(out)
 
 
@@ -157,19 +160,25 @@ def test_strategy_study_csv_matches_golden_hash(tmp_path, capsys):
     assert run_study(tmp_path) == GOLDEN_STUDY
 
 
+def test_condition_I_strategy_study_csv_matches_golden_hash(tmp_path, capsys):
+    assert run_study(tmp_path, "I") == GOLDEN_STUDY_I
+
+
 @pytest.mark.parametrize("name", sorted(RELABELLED_RUNS))
 def test_relabelled_scene_traces_match_golden_hashes(name, tmp_path, capsys):
     assert run_relabelled(name, tmp_path) == GOLDEN_RELABELLED[name]
 
 
 def _golden_table(tmp_path: Path) -> str:
-    """Print-ready GOLDEN_RUNS, GOLDEN_STUDY and GOLDEN_RELABELLED from the current code."""
+    """Print-ready GOLDEN_RUNS, GOLDEN_STUDY, GOLDEN_STUDY_I and GOLDEN_RELABELLED from the
+    current code."""
     lines = ["GOLDEN_RUNS = {"]
     for name in sorted(RUNS):
         trace, summary = run_case(name, tmp_path)
         lines.append(f'    "{name}": (\n        "{trace}",\n        "{summary}",\n    ),')
     lines.append("}")
     lines.append(f'GOLDEN_STUDY = "{run_study(tmp_path)}"')
+    lines.append(f'GOLDEN_STUDY_I = "{run_study(tmp_path, "I")}"')
     lines.append("GOLDEN_RELABELLED = {")
     lines.extend(f'    "{name}": "{run_relabelled(name, tmp_path)}",'
                  for name in sorted(RELABELLED_RUNS))

@@ -83,8 +83,9 @@ def test_build_world_carries_no_actions():
 def test_world_params_are_the_scene_with_its_bounds():
     scene = make_scene(drones=[(0, 1.0, 2.0)], objects=[(0, 5.0, 5.0, 0.0, True)],
                        width=50.0, height=30.0)
-    assert scene.bounds == (50.0, 30.0)
-    assert scene.build_world().params is scene
+    world = scene.build_world()
+    assert world.params is scene
+    assert (world.params.width, world.params.height) == (50.0, 30.0)
 
 
 def test_scene_dict_roundtrip_is_identity():
@@ -127,6 +128,18 @@ def test_validate_reports_duplicate_drone_id():
         objects=[(0, 5.0, 5.0, 0.0, True)],
     )
     assert any("duplicate drone id 3" in v for v in validate_scene(scene))
+
+
+def test_validate_rejects_a_negative_drone_id():
+    # a drone's id keys its random stream's SeedSequence, which takes no
+    # negative entropy; object ids key nothing, so any integer will do
+    scene = make_scene(
+        drones=[(-1, 1.0, 1.0), (2**70, 2.0, 2.0)],
+        objects=[(-5, 5.0, 5.0, 0.0, True)],
+    )
+    assert validate_scene(scene) == ["drone id -1 must be >= 0"]
+    fixed = dataclasses.replace(scene, drones=(SceneDrone(0, 1.0, 1.0), scene.drones[1]))
+    assert validate_scene(fixed) == []
 
 
 def test_validate_reports_out_of_bounds_object():

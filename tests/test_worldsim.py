@@ -1,5 +1,6 @@
 """World dynamics: movement, reflection, coverage, the lockstep step function."""
 
+import dataclasses
 import math
 from pathlib import Path
 
@@ -324,6 +325,27 @@ def test_step_world_delivers_messages_next_step():
     assert world2.actions[1].responded_to == 0
     # the old request expired; the re-notification replaced it
     assert world2.inbox == ((), ((0, 0, world.object_x[0], world.object_y[0]),))
+
+
+def test_step_world_delivers_one_request_per_sender_in_sender_order():
+    # at k = 3, drones 0 and 1 each sit on an uncovered important object and
+    # notify their two strongest edges: 0 asks 4 then 2, and 1 asks 4 then 3
+    scene = make_scene(
+        drones=[(0, 5.0, 5.0), (1, 45.0, 45.0), (2, 25.0, 5.0), (3, 25.0, 45.0),
+                (4, 25.0, 25.0)],
+        objects=[(0, 5.0, 5.0, 0.0, True), (1, 45.0, 45.0, 0.0, True)],
+        k=3,
+    )
+    weights = np.zeros((5, 5))
+    for a, b, w in ((0, 4, 2.0), (0, 2, 1.0), (1, 4, 2.0), (1, 3, 1.0)):
+        weights[a, b] = weights[b, a] = w
+    weights.flags.writeable = False
+    world = dataclasses.replace(scene.build_world(), weights=weights)
+    world = step_world(world, [0.0] * 5, [0.0] * 5)
+    assert world.actions[0].notified_drones == {4, 2}
+    assert world.actions[1].notified_drones == {4, 3}
+    from_0, from_1 = (0, 0, 5.0, 5.0), (1, 1, 45.0, 45.0)
+    assert world.inbox == ((), (), (from_0,), (from_1,), (from_0, from_1))
 
 
 def test_step_world_responder_moves_toward_advertised_position():
